@@ -16,6 +16,8 @@ default runtime dtype.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -49,6 +51,7 @@ def _read(fh, n: int) -> bytes:
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointMagicError(f"bad magic {magic!r}; not a checkpoint file")
@@ -59,8 +62,13 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
             name = _read(fh, nlen).decode("utf-8")
             (rank,) = struct.unpack("<B", _read(fh, 1))
             dims = [struct.unpack("<I", _read(fh, 4))[0] for _ in range(rank)]
-            n = int(np.prod(dims)) if dims else 1
-            payload = _read(fh, 4 * n)
+            nbytes = 4 * math.prod(dims)
+            if nbytes > size - fh.tell():
+                # Checked before reading, so hostile dims cannot force a huge allocation.
+                raise CheckpointTruncatedError(
+                    f"tensor {name!r} declares {nbytes} payload bytes, "
+                    f"only {size - fh.tell()} left in the file")
+            payload = _read(fh, nbytes)
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         (iteration,) = struct.unpack("<Q", _read(fh, 8))
     return tensors, iteration

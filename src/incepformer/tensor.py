@@ -42,8 +42,9 @@ def resolve_dtype(dtype) -> np.dtype:
 class Tensor:
     """N-dimensional array of real values, optionally tracked for autodiff.
 
-    `data` is always C-contiguous with dtype float32 or float64.  `grad`
-    is populated by `backward` as a numpy array of identical shape/dtype.
+    `data` is always C-contiguous with dtype float32 or float64.  On the
+    leaves of a tape, `backward` sets `grad` to a numpy array of identical
+    shape/dtype; op outputs end a backward pass with `grad` None.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -188,29 +189,47 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
 
 
 def backward(loss: Tensor, tape: GradTape):
-    """Populate `.grad` on every requires_grad tensor recorded on `tape`.
+    """Populate `.grad` on the recorded leaves of `tape` (requires_grad
+    tensors that no recorded op produced).
 
     Gradients accumulate additively across fan-out in fixed (reverse tape)
-    order.  Recorded leaves that do not influence the loss end up with zero
-    gradients.
+    order, each allocated on its first contribution.  Intermediate outputs
+    hold their gradient only until their own op's backward has run and end
+    with `.grad is None`.  Recorded leaves that do not influence the loss end
+    up with zero gradients.  Every `.grad` is its own array with the leaf's
+    dtype: no two gradients share memory, and none aliases an op's data.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    seen: set[int] = set()
+    produced: set[int] = set()
+    leaves: dict[int, Tensor] = {}
     for node in tape.nodes:
-        for t in (node.out,) + node.inputs:
-            if t.requires_grad and id(t) not in seen:
-                seen.add(id(t))
-                t.grad = np.zeros_like(t.data)
+        for t in node.inputs:
+            if t.requires_grad:
+                t.grad = None
+                if id(t) not in produced:
+                    leaves[id(t)] = t
+        node.out.grad = None
+        produced.add(id(node.out))
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        grads = node.backward_fn(node.out.grad)
+        g_out = node.out.grad
+        if g_out is None:
+            continue
+        grads = node.backward_fn(g_out)
+        node.out.grad = None
         for t, g in zip(node.inputs, grads):
             if g is None or not t.requires_grad:
                 continue
             if g.shape != t.data.shape:
                 raise ShapeError(f"backward of {node.name}: gradient shape {g.shape} != input shape {t.data.shape}")
-            t.grad += g
+            if t.grad is None:
+                t.grad = np.array(g, dtype=t.dtype)
+            else:
+                t.grad += g
+    for t in leaves.values():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -472,6 +491,11 @@ def conv2d(
 
     x: [N, Cin, H, W]; w: [Cout, Cin/groups, Kh, Kw]; b: [Cout].
     Output spatial size: floor((H + 2p - K)/s) + 1 per axis.
+
+    The input shape picks one of three paths: an unpadded, unstrided 1x1
+    dense conv is a channel matmul; depthwise (groups == Cin == Cout) sums
+    the Kh*Kw shifted input slices directly; everything else (the patch
+    embeds, general grouped convs) runs im2col as a batched matmul.
     """
     _binary_check(x, w, "conv2d")
     if x.ndim != 4 or w.ndim != 4:
@@ -497,15 +521,16 @@ def conv2d(
 
     ho = _conv_out_size(h, kh, sh, ph)
     wo = _conv_out_size(wdt, kw, sw, pw)
+    bias = None if b is None else b.data
 
     if kh == 1 and kw == 1 and groups == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0):
         # Pointwise fast path: a plain channel matmul.
         w2 = w.data.reshape(cout, cin)
         out = np.matmul(w2, x.data.reshape(n, cin, h * wdt)).reshape(n, cout, h, wdt)
         if b is not None:
-            out += b.data[None, :, None, None]
+            out += bias[None, :, None, None]
 
-        def bwd_pointwise(g):
+        def bwd(g):
             g2 = g.reshape(n, cout, h * wdt)
             gx = np.matmul(w2.T, g2).reshape(n, cin, h, wdt)
             gw = np.matmul(g2, x.data.reshape(n, cin, h * wdt).transpose(0, 2, 1)).sum(axis=0)
@@ -514,23 +539,92 @@ def conv2d(
                 grads.append(g.sum(axis=(0, 2, 3)))
             return tuple(grads)
 
-        inputs = (x, w) if b is None else (x, w, b)
-        return record_op(out, inputs, bwd_pointwise, "conv2d")
+    elif groups == cin == cout:
+        out, bwd = _conv2d_depthwise(x.data, w.data, bias, (sh, sw), (ph, pw), (ho, wo))
+    else:
+        out, bwd = _conv2d_im2col(x.data, w.data, bias, (sh, sw), (ph, pw), (ho, wo), groups)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    inputs = (x, w) if b is None else (x, w, b)
+    return record_op(out, inputs, bwd, "conv2d")
+
+
+def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
+    """groups == Cin == Cout: the sum of Kh*Kw shifted, strided slices of
+    the padded input, each scaled by its per-channel tap.
+
+    At stride 1 a tap reads whole padded rows: its slice is one contiguous
+    run of Ho*Wp values per flattened plane, so the output is computed
+    Wp wide and the columns past Wo are dropped at the end.
+    """
+    n, c, h, wdt = x.shape
+    kh, kw = w.shape[2:]
+    (sh, sw), (ph, pw), (ho, wo) = stride, padding, out_hw
+    wide = (sh, sw) == (1, 1)
+    cols = wdt + 2 * pw if wide else wo
+    if ph or pw or wide:
+        # A spare bottom row keeps the last tap's run inside the plane.
+        xp = np.zeros((n, c, h + 2 * ph + wide, wdt + 2 * pw), dtype=x.dtype)
+        xp[:, :, ph : ph + h, pw : pw + wdt] = x
+    else:
+        xp = x
+
+    def tap_slice(a, u, v):
+        if wide:
+            start = u * cols + v
+            return a.reshape(n, c, -1)[:, :, start : start + ho * cols].reshape(n, c, ho, cols)
+        return a[:, :, u : u + sh * (ho - 1) + 1 : sh, v : v + sw * (wo - 1) + 1 : sw]
+
+    taps = [(u, v, w[None, :, 0, u, v, None, None]) for u in range(kh) for v in range(kw)]
+    xs = [tap_slice(xp, u, v) for u, v, _ in taps]
+    out = np.multiply(xs[0], taps[0][2])
+    buf = np.empty_like(out)
+    for xt, (_, _, wt) in zip(xs[1:], taps[1:]):
+        out += np.multiply(xt, wt, out=buf)
+    if b is not None:
+        out += b[None, :, None, None]
+    out = out[:, :, :, :wo]
+
+    def bwd(g):
+        if wide:
+            # Zero gradient on the dropped columns, so they add nothing below.
+            gp = np.zeros((n, c, ho, cols), dtype=g.dtype)
+            gp[:, :, :, :wo] = g
+        else:
+            gp = g
+        gxp = np.zeros_like(xp)
+        gw = np.empty((c, kh, kw), dtype=w.dtype)
+        buf = np.empty_like(gp)
+        for xt, (u, v, wt) in zip(xs, taps):
+            view = tap_slice(gxp, u, v)
+            view += np.multiply(gp, wt, out=buf)
+            gw[:, u, v] = np.einsum("nchw,nchw->c", gp, xt)
+        grads = [np.ascontiguousarray(gxp[:, :, ph : ph + h, pw : pw + wdt]), gw.reshape(c, 1, kh, kw)]
+        if b is not None:
+            grads.append(g.sum(axis=(0, 2, 3)))
+        return tuple(grads)
+
+    return out, bwd
+
+
+def _conv2d_im2col(x, w, b, stride, padding, out_hw, groups):
+    """General grouped convolution as a per-group batched matmul over
+    [N*Ho*Wo, Cg*Kh*Kw] patch rows."""
+    n, cin, h, wdt = x.shape
+    cout, cg, kh, kw = w.shape
+    (sh, sw), (ph, pw), (ho, wo) = stride, padding, out_hw
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
     pat = _patches(xp, kh, kw, sh, sw)  # [N, Cin, Ho, Wo, kh, kw]
-    cg, og, ck = cin // groups, cout // groups, (cin // groups) * kh * kw
-    # im2col as a per-group batched matmul: [g, N*Ho*Wo, Cg*Kh*Kw] @ [g, CK, Og]
+    og, ck = cout // groups, cg * kh * kw
     pat2 = np.ascontiguousarray(
         pat.reshape(n, groups, cg, ho, wo, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
     ).reshape(groups, n * ho * wo, ck)
-    w2 = w.data.reshape(groups, og, ck)
+    w2 = w.reshape(groups, og, ck)
     out = np.matmul(pat2, w2.transpose(0, 2, 1))
     out = np.ascontiguousarray(
         out.reshape(groups, n, ho, wo, og).transpose(1, 0, 4, 2, 3).reshape(n, cout, ho, wo)
     )
     if b is not None:
-        out += b.data[None, :, None, None]
+        out += b[None, :, None, None]
 
     def bwd(g):
         g2 = np.ascontiguousarray(
@@ -549,8 +643,7 @@ def conv2d(
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record_op(out, inputs, bwd, "conv2d")
+    return out, bwd
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:

@@ -81,6 +81,41 @@ class TestBackward:
             backward(loss, tape)
         np.testing.assert_allclose(x.grad, [2.0])  # not 4.0
 
+    def test_fanout_gradients_do_not_share_memory(self):
+        # add() hands one array to both inputs; x's later use adds into x.grad.
+        x = t64([1.0, 2.0], grad=True)
+        y = t64([5.0, 7.0], grad=True)
+        with GradTape() as tape:
+            a = T.scale(x, 3.0)
+            s = T.add(x, y)
+            loss = T.tsum(T.add(s, a))  # 4x + y
+        backward(loss, tape)
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
+    def test_leaf_grad_keeps_leaf_dtype(self):
+        x = Tensor([1.0, 2.0], dtype="f32", requires_grad=True)
+        with GradTape() as tape:
+            y = T.record_op(x.data * 2, (x,), lambda g: (g.astype(np.float64) * 2,), "double_f64")
+            loss = T.tsum(y)
+        backward(loss, tape)
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_intermediate_grads_released(self):
+        x = t64(np.arange(6.0).reshape(1, 1, 2, 3), grad=True)
+        w = t64(np.ones((1, 1, 1, 1)), grad=True)
+        with GradTape() as tape:
+            y = T.conv2d(x, w)
+            z = T.reshape(T.relu(y), (6,))
+            loss = T.tsum(T.mul(z, z))
+        backward(loss, tape)
+        assert all(node.out.grad is None for node in tape.nodes)
+        assert y.grad is None and z.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad.reshape(-1), 2.0 * np.arange(6.0))
+        assert w.grad.shape == (1, 1, 1, 1)
+
     def test_composite_conv_norm_softmax_sum(self):
         rng = np.random.default_rng(0)
         x = t64(rng.standard_normal((1, 2, 4, 4)), grad=True)
@@ -99,6 +134,33 @@ class TestBackward:
 
         rows = check_function(f, [x, w, g, b], "composite", h=1e-5, tol=1e-5)
         assert rows and all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
+
+
+class TestDepthwiseGradients:
+    # The model's depthwise geometries (reduction R = 4) at N = 2, f64.
+    @pytest.mark.parametrize("shape,kernel,stride,padding", [
+        ((2, 3, 8, 8), (1, 4), (1, 4), (0, 0)),
+        ((2, 3, 8, 8), (4, 1), (4, 1), (0, 0)),
+        ((2, 3, 9, 7), (3, 3), (4, 4), (1, 1)),
+        ((2, 3, 5, 7), (3, 3), (1, 1), (1, 1)),
+    ])
+    def test_x_w_b_match_finite_differences(self, shape, kernel, stride, padding):
+        rng = np.random.default_rng(12)
+        c = shape[1]
+        x = t64(rng.standard_normal(shape), grad=True)
+        w = t64(rng.standard_normal((c, 1) + kernel), grad=True)
+        b = t64(rng.standard_normal(c), grad=True)
+        proj = []
+
+        def f(args):
+            out = T.conv2d(*args, stride=stride, padding=padding, groups=c)
+            if not proj:
+                proj.append(t64(rng.standard_normal(out.shape)))
+            return T.tsum(T.mul(out, proj[0]))
+
+        rows = check_function(f, [x, w, b], "conv2d_dw", h=1e-5, tol=1e-6)
+        assert len(rows) == 3
+        assert all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
 
 
 class TestFiniteDiff:

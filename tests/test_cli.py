@@ -1,11 +1,16 @@
 """CLI behavior: subcommands, outputs, exit codes."""
 
 import json
+import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import incepformer
 from incepformer.analysis import count_params, estimate_flops
+from incepformer.checkpoint import MAGIC
 from incepformer.cli import run_cli
 from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro
 from incepformer.netpbm import read_image, write_ppm
@@ -106,6 +111,15 @@ class TestTrainEvalCommands:
         assert last.startswith("miou,")
         assert 0.0 <= float(last.split(",")[1]) <= 1.0
 
+    def test_eval_hostile_checkpoint_exit_code(self, tmp_path, capsys):
+        # Dims (2^32 - 1)^3 declared in a 28-byte file must not be allocated.
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<IHcB3I", 1, 1, b"w", 3, *[2**32 - 1] * 3))
+        code = run_cli(["eval", "--model", "micro", "--checkpoint", str(path),
+                        "--crop", "64x64"])
+        assert code == 1
+        assert "payload bytes" in capsys.readouterr().err
+
     def test_train_determinism_across_invocations(self, capsys):
         run_cli(["train", "--model", "micro", "--iters", "2", "--crop", "64x64",
                  "--seed", "7"])
@@ -121,7 +135,11 @@ class TestTrainEvalCommands:
 
         cmd = [sys.executable, "-m", "incepformer.cli", "train", "--model", "micro",
                "--iters", "2", "--crop", "64x64", "--seed", "11"]
-        runs = [subprocess.run(cmd, capture_output=True, text=True) for _ in range(2)]
+        # The child must import the same package as this process, installed or not.
+        src = str(Path(incepformer.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        runs = [subprocess.run(cmd, capture_output=True, text=True, env=env) for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.strip()

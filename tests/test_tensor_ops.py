@@ -30,21 +30,33 @@ class TestConv2d:
         assert out.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 10.0
 
+    # ksp = (kernel, stride, padding, groups).  Dense convs have 2 output
+    # channels; depthwise ones (groups == C) use the model's geometries with
+    # reduction R = 4: the 1xR and Rx1 strips, the strided 3x3 and the 3x3.
     @pytest.mark.parametrize("shape,ksp", [
-        ((1, 1, 3, 3), ((2, 2), (1, 1), (0, 0))),
-        ((2, 3, 5, 5), ((3, 3), (1, 1), (0, 0))),
-        ((2, 3, 5, 5), ((3, 3), (2, 2), (1, 1))),
-        ((1, 2, 4, 5), ((2, 3), (2, 1), (0, 1))),
+        ((1, 1, 3, 3), ((2, 2), (1, 1), (0, 0), 1)),
+        ((2, 3, 5, 5), ((3, 3), (1, 1), (0, 0), 1)),
+        ((2, 3, 5, 5), ((3, 3), (2, 2), (1, 1), 1)),
+        ((1, 2, 4, 5), ((2, 3), (2, 1), (0, 1), 1)),
+        ((2, 3, 8, 8), ((1, 4), (1, 4), (0, 0), 3)),
+        ((2, 3, 8, 8), ((4, 1), (4, 1), (0, 0), 3)),
+        ((2, 3, 8, 8), ((3, 3), (4, 4), (1, 1), 3)),
+        ((2, 3, 9, 7), ((3, 3), (4, 4), (1, 1), 3)),
+        ((2, 3, 8, 8), ((3, 3), (1, 1), (1, 1), 3)),
+        ((2, 3, 5, 7), ((3, 3), (1, 1), (1, 1), 3)),
     ])
     def test_matches_loop_oracle_bitwise(self, shape, ksp):
-        (kh, kw), stride, padding = ksp
+        (kh, kw), stride, padding, groups = ksp
+        cout = 2 if groups == 1 else shape[1]
         rng = np.random.default_rng(7)
         x = int_valued(rng, shape)
-        w = int_valued(rng, (2, shape[1], kh, kw))
-        b = int_valued(rng, (2,))
-        got = T.conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
-        want = conv2d_loops(x, w, b, stride, padding, groups=1)
-        assert (got.data == want).all()  # exactly representable values
+        w = int_valued(rng, (cout, shape[1] // groups, kh, kw))
+        b = int_valued(rng, (cout,))
+        for bias in (b, None):
+            got = T.conv2d(t64(x), t64(w), None if bias is None else t64(bias),
+                           stride=stride, padding=padding, groups=groups)
+            want = conv2d_loops(x, w, bias, stride, padding, groups)
+            assert (got.data == want).all()  # exactly representable values
 
     def test_matches_loop_oracle_float(self):
         rng = np.random.default_rng(8)

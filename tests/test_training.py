@@ -43,6 +43,10 @@ from incepformer.train import (
 )
 
 
+# 28 bytes: magic, one tensor named "w" of rank 3 declaring dims (2^32 - 1)^3.
+HOSTILE_CKPT = MAGIC + struct.pack("<IHcB3I", 1, 1, b"w", 3, *[2**32 - 1] * 3)
+
+
 def tcfg(**kw):
     base = dict(base_lr=1e-3, max_iters=4, batch_size=2, crop=(64, 64),
                 scale_range=(1.0, 1.0), flip_prob=0.0, seed=0)
@@ -364,6 +368,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(str(short))
 
+    def test_declared_size_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(HOSTILE_CKPT)
+        with pytest.raises(CheckpointTruncatedError, match="'w'"):
+            load_checkpoint(str(path))
+
     def test_mismatched_config_names_first_offender(self, tmp_path):
         import dataclasses
 
@@ -429,6 +439,12 @@ class TestTrainLoop:
 
         with pytest.raises(ConfigError, match="crop"):
             tcfg(crop=(50, 64)).validate()
+
+    def test_f32_step_leaves_f32_grads(self):
+        ds = make_synth_dataset(2, 64, 64, 2, seed=9)
+        res = train(micro(num_classes=2), tcfg(max_iters=1), ds)
+        grads = [p.grad for _, p in res.store.items()]
+        assert grads and all(g is not None and g.dtype == np.float32 for g in grads)
 
     def test_f64_training_and_checkpoint_cast(self, tmp_path):
         # train in f64, checkpoint (format-fixed f32), reload into both dtypes
