@@ -16,7 +16,7 @@ from .analysis import (
     estimate_flops,
 )
 from .config import ModelConfig, StageConfig, ipt_b, ipt_s, ipt_t, load_model_config, micro
-from .data import DatasetSource, SegSample, SyntheticSource, augment, make_synth_dataset
+from .data import SegSample, augment, make_synth_dataset
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -39,7 +39,6 @@ __all__ = [
     "CostRow",
     "ConfusionMatrix",
     "CheckpointError",
-    "DatasetSource",
     "ConfigError",
     "ContractError",
     "FeaturePyramid",
@@ -53,7 +52,6 @@ __all__ = [
     "SegSample",
     "ShapeError",
     "StageConfig",
-    "SyntheticSource",
     "Tensor",
     "TrainConfig",
     "adamw_step",

@@ -205,32 +205,21 @@ def count_params(cfg: ModelConfig) -> CostReport:
     return CostReport(rows=walk.rows, meta=meta)
 
 
-def estimate_flops(cfg: ModelConfig, h: int, w: int, mac_factor: int = 1) -> CostReport:
-    """Parameter and MAC rows at input size h x w.
-
-    `mac_factor=2` switches the MAC rows (linear/attention categories) to
-    the multiply+add double-counting convention.
-    """
+def estimate_flops(cfg: ModelConfig, h: int, w: int) -> CostReport:
+    """Parameter and MAC rows at input size h x w (one count per
+    multiply-accumulate)."""
     if h % 32 or w % 32:
         raise ConfigError(f"input dims must be divisible by 32, got {h}x{w}")
-    if mac_factor not in (1, 2):
-        raise ConfigError(f"mac_factor must be 1 or 2, got {mac_factor}")
     walk = _Walk(cfg)
     walk.walk_params()
     walk.walk_flops(h, w)
-    rows = walk.rows
-    if mac_factor == 2:
-        rows = [
-            replace(r, flops=r.flops * 2) if r.category in (CAT_LINEAR, CAT_ATTENTION) else r
-            for r in rows
-        ]
     meta = {
         "model": cfg.name,
         "kind": "params+flops",
         "input": f"{h}x{w}",
-        "flop_convention": f"macs x{mac_factor}; hook_profiler total excludes the attention category",
+        "flop_convention": "macs x1; hook_profiler total excludes the attention category",
     }
-    return CostReport(rows=rows, meta=meta)
+    return CostReport(rows=walk.rows, meta=meta)
 
 
 @dataclass

@@ -22,24 +22,34 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointMagicError, CheckpointShapeError, CheckpointTruncatedError
+from .errors import CheckpointError, CheckpointMagicError, CheckpointShapeError, CheckpointTruncatedError
 
 MAGIC = b"IPTCKPT1"
+MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], iteration: int):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        fh.write(struct.pack("<Q", int(iteration)))
+    """Write `tensors` to `path` atomically: a save that fails partway leaves
+    any previous file at `path` untouched and no temporary file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", arr.ndim))
+                for d in arr.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(struct.pack("<Q", int(iteration)))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read(fh, n: int) -> bytes:
@@ -59,8 +69,13 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read(fh, 2))
-            name = _read(fh, nlen).decode("utf-8")
+            try:
+                name = _read(fh, nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError("tensor name is not valid UTF-8") from None
             (rank,) = struct.unpack("<B", _read(fh, 1))
+            if rank > MAX_RANK:
+                raise CheckpointShapeError(f"tensor {name!r} declares rank {rank} > {MAX_RANK}")
             dims = [struct.unpack("<I", _read(fh, 4))[0] for _ in range(rank)]
             nbytes = 4 * math.prod(dims)
             if nbytes > size - fh.tell():

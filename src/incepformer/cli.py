@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .analysis import count_params, emit_report, estimate_flops
 from .config import PRESETS, load_model_config
-from .data import SyntheticSource, class_colors
+from .data import class_colors, make_synth_dataset
 from .errors import CheckpointError, ConfigError, ContractError, IncepFormerError
 from .gradcheck import check_model_gradients, check_op_gradients
 from .metrics import eval_miou
@@ -145,7 +145,7 @@ def _cmd_train(args) -> int:
     ch, cw = _parse_size(args.crop)
     tcfg = TrainConfig(base_lr=args.lr, max_iters=args.iters, batch_size=args.batch,
                        crop=(ch, cw), seed=args.seed)
-    dataset = SyntheticSource(16, ch, cw, cfg.num_classes, args.seed).load()
+    dataset = make_synth_dataset(16, ch, cw, cfg.num_classes, args.seed)
     lines: list[str] = []
 
     def log(it, lr, loss):
@@ -172,7 +172,7 @@ def _cmd_eval(args) -> int:
     model = build_model(cfg, seed=args.seed, dtype=args.dtype)
     if args.checkpoint:
         load_training_checkpoint(args.checkpoint, model)
-    dataset = SyntheticSource(8, ch, cw, cfg.num_classes, args.seed + 1).load()
+    dataset = make_synth_dataset(8, ch, cw, cfg.num_classes, args.seed + 1)
     result = eval_miou(model, dataset, TrainConfig(seed=args.seed))
     if args.format == "json":
         doc = {

@@ -81,16 +81,10 @@ class ModelConfig:
 
 
 _STAGE_FIELDS = ("channels", "depth", "reduction", "heads", "ffn_ratio")
-_MODEL_FIELDS = (
-    "stages",
-    "decoder_channels",
-    "num_classes",
-    "patch_mode",
-    "norm_eps",
-    "with_bias",
-    "bypass_reduce_r1",
-    "name",
-)
+# Converter per scalar ModelConfig field; a field left out keeps its default.
+_SCALAR_FIELDS = {"decoder_channels": int, "num_classes": int, "patch_mode": str, "norm_eps": float,
+                  "with_bias": bool, "bypass_reduce_r1": bool, "name": str}
+_MODEL_FIELDS = ("stages", *_SCALAR_FIELDS)
 
 
 def to_dict(cfg: ModelConfig) -> dict:
@@ -107,6 +101,8 @@ def from_dict(d: dict) -> ModelConfig:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
     if "stages" not in d:
         raise ConfigError("config field 'stages' is required")
+    if not isinstance(d["stages"], list):
+        raise ConfigError("config field 'stages' must be a list")
     stages = []
     for i, sd in enumerate(d["stages"], start=1):
         if not isinstance(sd, dict):
@@ -119,21 +115,19 @@ def from_dict(d: dict) -> ModelConfig:
             raise ConfigError(f"stages[{i}]: missing field(s): {', '.join(sorted(missing))}")
         try:
             stages.append(StageConfig(**{k: int(sd[k]) for k in _STAGE_FIELDS}))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"stages[{i}]: {e}") from e
     for key in ("decoder_channels", "num_classes"):
         if key not in d:
             raise ConfigError(f"config field {key!r} is required")
-    cfg = ModelConfig(
-        stages=tuple(stages),
-        decoder_channels=int(d["decoder_channels"]),
-        num_classes=int(d["num_classes"]),
-        patch_mode=str(d.get("patch_mode", "nonoverlap")),
-        norm_eps=float(d.get("norm_eps", 1e-5)),
-        with_bias=bool(d.get("with_bias", True)),
-        bypass_reduce_r1=bool(d.get("bypass_reduce_r1", False)),
-        name=str(d.get("name", "custom")),
-    )
+    values = {}
+    for key, conv in _SCALAR_FIELDS.items():
+        if key in d:
+            try:
+                values[key] = conv(d[key])
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ConfigError(f"config field {key!r}: {e}") from e
+    cfg = ModelConfig(stages=tuple(stages), **values)
     cfg.validate()
     return cfg
 
@@ -194,7 +188,7 @@ def load_model_config(path_or_name: str, num_classes: int | None = None) -> Mode
     try:
         with open(path_or_name, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read model config {path_or_name!r}: {e}") from e
     try:
         doc = json.loads(text)
@@ -202,6 +196,8 @@ def load_model_config(path_or_name: str, num_classes: int | None = None) -> Mode
         raise ConfigError(
             f"{path_or_name}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError:
+        raise ConfigError(f"{path_or_name}: JSON nested too deeply") from None
     cfg = from_dict(doc)
     if num_classes is not None:
         cfg = replace(cfg, num_classes=num_classes)

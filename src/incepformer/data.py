@@ -106,29 +106,6 @@ def make_synth_dataset(n: int, h: int, w: int, n_cls: int, seed: int) -> list[Se
     return samples
 
 
-class DatasetSource:
-    """Loader interface: anything that yields a list of SegSamples.
-
-    Real-dataset ingestion would subclass this; only the synthetic source
-    ships with the kit.
-    """
-
-    name = "abstract"
-
-    def load(self) -> list[SegSample]:
-        raise NotImplementedError
-
-
-class SyntheticSource(DatasetSource):
-    name = "synthetic"
-
-    def __init__(self, n: int, h: int, w: int, n_cls: int, seed: int):
-        self.n, self.h, self.w, self.n_cls, self.seed = n, h, w, n_cls, seed
-
-    def load(self) -> list[SegSample]:
-        return make_synth_dataset(self.n, self.h, self.w, self.n_cls, self.seed)
-
-
 def resize_image(image: np.ndarray, oh: int, ow: int) -> np.ndarray:
     """Bilinear resize of a [3, H, W] float image (half-pixel centers)."""
     _, h, w = image.shape

@@ -97,9 +97,6 @@ class Module:
     def parameter_store(self) -> "ParameterStore":
         return ParameterStore(self.named_parameters())
 
-    def buffer_store(self) -> dict[str, np.ndarray]:
-        return dict(self.named_buffers())
-
 
 class ParameterStore:
     """Ordered, uniquely named map of the learnable tensors of a model."""
@@ -120,18 +117,11 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
     def __len__(self) -> int:
         return len(self._items)
 
     def total_params(self) -> int:
         return sum(t.size for t in self._items.values())
-
-    def zero_grads(self):
-        for t in self._items.values():
-            t.zero_grad()
 
 
 class Conv2d(Module):

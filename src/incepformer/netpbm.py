@@ -61,7 +61,12 @@ def read_image(path: str) -> np.ndarray:
         raise ContractError(f"{path}: truncated netpbm header") from None
     if magic not in (b"P5", b"P6"):
         raise ContractError(f"{path}: unsupported netpbm magic {magic!r}")
-    w, h, maxval = int(wtok), int(htok), int(mtok)
+    try:
+        w, h, maxval = int(wtok), int(htok), int(mtok)
+    except ValueError:
+        raise ContractError(f"{path}: netpbm header fields must be integers") from None
+    if w < 1 or h < 1:
+        raise ContractError(f"{path}: image dims must be positive, got {w}x{h}")
     if maxval != 255:
         raise ContractError(f"{path}: only maxval 255 is supported, got {maxval}")
     channels = 3 if magic == b"P6" else 1

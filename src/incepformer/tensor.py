@@ -42,8 +42,10 @@ def resolve_dtype(dtype) -> np.dtype:
 class Tensor:
     """N-dimensional array of real values, optionally tracked for autodiff.
 
-    `data` is always C-contiguous with dtype float32 or float64.  On the
-    leaves of a tape, `backward` sets `grad` to a numpy array of identical
+    `data` is always C-contiguous with dtype float32 or float64: the
+    constructor and `record_op` are the only places that enforce this, so
+    ops may compute their outputs in any layout.  On the leaves of a tape,
+    `backward` sets `grad` to a C-contiguous numpy array of identical
     shape/dtype; op outputs end a backward pass with `grad` None.
     """
 
@@ -82,39 +84,12 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def zero_grad(self):
-        self.grad = None
-
     def __float__(self) -> float:
         return self.item()
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
-
-    # Small operator sugar used by model code and tests.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, neg(other))
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul_batched(self, other)
 
 
 def parameter(data, dtype=None) -> Tensor:
@@ -172,15 +147,18 @@ def _check_finite(data: np.ndarray, op: str):
 def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, name: str) -> Tensor:
     """Wrap `data` as an op result, recording `backward_fn` on the active tape.
 
+    `data` may have any layout; the result holds a C-contiguous copy.
     `backward_fn(grad_out)` must return one gradient array (or None) per
-    input, each matching that input's shape.  This is the extension point
-    used by ops defined outside this module (e.g. losses).
+    input, each matching that input's shape, in any layout (views included).
+    This is the extension point used by ops defined outside this module
+    (e.g. losses).
     """
+    data = np.ascontiguousarray(data)
     _check_finite(data, name)
     tape = _ACTIVE_TAPE
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
-    out.data = np.ascontiguousarray(data)
+    out.data = data
     out.requires_grad = track
     out.grad = None
     if track:
@@ -196,8 +174,10 @@ def backward(loss: Tensor, tape: GradTape):
     order, each allocated on its first contribution.  Intermediate outputs
     hold their gradient only until their own op's backward has run and end
     with `.grad is None`.  Recorded leaves that do not influence the loss end
-    up with zero gradients.  Every `.grad` is its own array with the leaf's
-    dtype: no two gradients share memory, and none aliases an op's data.
+    up with zero gradients.  Every `.grad` is its own C-contiguous array
+    with the leaf's dtype: no two gradients share memory, and none aliases an
+    op's data.  So the `grad_out` each backward closure receives is
+    C-contiguous, whatever layout the closures downstream returned.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -224,7 +204,7 @@ def backward(loss: Tensor, tape: GradTape):
             if g.shape != t.data.shape:
                 raise ShapeError(f"backward of {node.name}: gradient shape {g.shape} != input shape {t.data.shape}")
             if t.grad is None:
-                t.grad = np.array(g, dtype=t.dtype)
+                t.grad = np.array(g, dtype=t.dtype, order="C")
             else:
                 t.grad += g
     for t in leaves.values():
@@ -309,21 +289,6 @@ def gelu(x: Tensor) -> Tensor:
     return record_op(out.astype(x.dtype, copy=False), (x,), bwd, "gelu")
 
 
-def unary_map(x: Tensor, fn: str, const: Optional[float] = None) -> Tensor:
-    """Dispatching wrapper over the elementwise maps {gelu, relu, neg, scale}."""
-    if fn == "gelu":
-        return gelu(x)
-    if fn == "relu":
-        return relu(x)
-    if fn == "neg":
-        return neg(x)
-    if fn == "scale":
-        if const is None:
-            raise ConfigError("unary_map('scale') needs a constant")
-        return scale(x, const)
-    raise ConfigError(f"unknown unary map {fn!r}")
-
-
 def tsum(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.dtype)
 
@@ -359,11 +324,11 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"transpose axes {axes} invalid for rank {x.ndim}")
-    out = np.ascontiguousarray(x.data.transpose(axes))
+    out = x.data.transpose(axes)
     inv = np.argsort(axes)
 
     def bwd(g):
-        return (np.ascontiguousarray(g.transpose(inv)),)
+        return (g.transpose(inv),)
 
     return record_op(out, (x,), bwd, "transpose")
 
@@ -381,7 +346,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     offsets = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
+        return np.split(g, offsets, axis=axis)
 
     return record_op(out, tuple(tensors), bwd, "concat")
 
@@ -398,8 +363,7 @@ def pad2d(x: Tensor, pads: tuple) -> Tensor:
     h, w = x.shape[-2], x.shape[-1]
 
     def bwd(g):
-        sl = (Ellipsis, slice(top, top + h), slice(left, left + w))
-        return (np.ascontiguousarray(g[sl]),)
+        return (g[..., top : top + h, left : left + w],)
 
     return record_op(out, (x,), bwd, "pad2d")
 
@@ -420,9 +384,7 @@ def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        return np.ascontiguousarray(ga), np.ascontiguousarray(gb)
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return record_op(out, (a, b), bwd, "matmul")
 
@@ -439,13 +401,10 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         out = out + b.data
 
     def bwd(g):
+        g2 = g.reshape(-1, w.shape[1])
         gx = g @ w.data.T
-        gw = x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
-        gb = g.reshape(-1, w.shape[1]).sum(axis=0) if b is not None else None
-        grads = [np.ascontiguousarray(gx), np.ascontiguousarray(gw)]
-        if b is not None:
-            grads.append(gb)
-        return tuple(grads)
+        gw = x.data.reshape(-1, w.shape[0]).T @ g2
+        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
 
     inputs = (x, w) if b is None else (x, w, b)
     return record_op(out, inputs, bwd, "linear")
@@ -534,7 +493,7 @@ def conv2d(
             g2 = g.reshape(n, cout, h * wdt)
             gx = np.matmul(w2.T, g2).reshape(n, cin, h, wdt)
             gw = np.matmul(g2, x.data.reshape(n, cin, h * wdt).transpose(0, 2, 1)).sum(axis=0)
-            grads = [np.ascontiguousarray(gx), gw.reshape(cout, cin, 1, 1)]
+            grads = [gx, gw.reshape(cout, cin, 1, 1)]
             if b is not None:
                 grads.append(g.sum(axis=(0, 2, 3)))
             return tuple(grads)
@@ -598,7 +557,7 @@ def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
             view = tap_slice(gxp, u, v)
             view += np.multiply(gp, wt, out=buf)
             gw[:, u, v] = np.einsum("nchw,nchw->c", gp, xt)
-        grads = [np.ascontiguousarray(gxp[:, :, ph : ph + h, pw : pw + wdt]), gw.reshape(c, 1, kh, kw)]
+        grads = [gxp[:, :, ph : ph + h, pw : pw + wdt], gw.reshape(c, 1, kh, kw)]
         if b is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
@@ -638,7 +597,7 @@ def _conv2d_im2col(x, w, b, stride, padding, out_hw, groups):
             for v in range(kw):
                 gxp[:, :, u : u + sh * ho : sh, v : v + sw * wo : sw] += gpat[:, :, :, :, u, v]
         gx = gxp[:, :, ph : ph + h, pw : pw + wdt] if (ph or pw) else gxp
-        grads = [np.ascontiguousarray(gx), np.ascontiguousarray(gw)]
+        grads = [gx, gw]
         if b is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
@@ -669,7 +628,7 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
                 gx[:, :, u : u + s * ho : s, v : v + s * wo : s] += gs
         return (gx,)
 
-    return record_op(np.ascontiguousarray(out), (x,), bwd, "avg_pool2d")
+    return record_op(out, (x,), bwd, "avg_pool2d")
 
 
 # ---------------------------------------------------------------------------
@@ -832,10 +791,9 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = F
     out = np.matmul(np.matmul(wh, x.data), ww.T)
 
     def bwd(g):
-        gx = np.matmul(np.matmul(wh.T, g), ww)
-        return (np.ascontiguousarray(gx),)
+        return (np.matmul(np.matmul(wh.T, g), ww),)
 
-    return record_op(np.ascontiguousarray(out), (x,), bwd, "bilinear_upsample")
+    return record_op(out, (x,), bwd, "bilinear_upsample")
 
 
 def img2seq(x: Tensor) -> Tensor:
@@ -843,10 +801,10 @@ def img2seq(x: Tensor) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"img2seq expects 4-D input, got {x.shape}")
     n, c, h, w = x.shape
-    out = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1).reshape(n, h * w, c))
+    out = x.data.transpose(0, 2, 3, 1).reshape(n, h * w, c)
 
     def bwd(g):
-        return (np.ascontiguousarray(g.reshape(n, h, w, c).transpose(0, 3, 1, 2)),)
+        return (g.reshape(n, h, w, c).transpose(0, 3, 1, 2),)
 
     return record_op(out, (x,), bwd, "img2seq")
 
@@ -859,9 +817,9 @@ def seq2img(x: Tensor, h: int, w: int) -> Tensor:
     h, w = int(h), int(w)
     if l != h * w:
         raise ShapeError(f"seq2img: {l} tokens cannot fill a {h}x{w} map")
-    out = np.ascontiguousarray(x.data.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+    out = x.data.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def bwd(g):
-        return (np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(n, l, c)),)
+        return (g.transpose(0, 2, 3, 1).reshape(n, l, c),)
 
     return record_op(out, (x,), bwd, "seq2img")

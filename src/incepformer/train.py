@@ -161,18 +161,20 @@ class TrainResult:
     state: OptimState
 
 
-def training_state_tensors(model: IncepFormer, state: OptimState) -> dict[str, np.ndarray]:
+def training_state_tensors(model: IncepFormer, state: Optional[OptimState] = None) -> dict[str, np.ndarray]:
     """Everything that must round-trip through a checkpoint, in a fixed order:
-    parameters, BatchNorm buffers, then optimizer moments."""
+    parameters, BatchNorm buffers, then optimizer moments (when `state` is
+    given).  The arrays are the live ones, so loading can copy into them."""
     out: dict[str, np.ndarray] = {}
     store = model.parameter_store()
     for name, p in store.items():
         out[name] = p.data
     for name, b in model.named_buffers():
         out[name] = b
-    for name in store.names():
-        out[name + "/m1"] = state.m[name]
-        out[name + "/m2"] = state.v[name]
+    if state is not None:
+        for name in store.names():
+            out[name + "/m1"] = state.m[name]
+            out[name + "/m2"] = state.v[name]
     return out
 
 
@@ -185,17 +187,7 @@ def load_training_checkpoint(path: str, model: IncepFormer,
     """Restore parameters/buffers (and moments when `state` is given);
     returns the stored iteration counter."""
     loaded, iteration = load_checkpoint(path)
-    targets: dict[str, np.ndarray] = {}
-    store = model.parameter_store()
-    for name, p in store.items():
-        targets[name] = p.data
-    for name, b in model.named_buffers():
-        targets[name] = b
-    if state is not None:
-        for name in store.names():
-            targets[name + "/m1"] = state.m[name]
-            targets[name + "/m2"] = state.v[name]
-    apply_tensors(targets, loaded)
+    apply_tensors(training_state_tensors(model, state), loaded)
     if state is not None:
         state.step = iteration
     return iteration

@@ -8,8 +8,6 @@ import pytest
 
 from incepformer.analysis import (
     CAT_ATTENTION,
-    CAT_ELEMENTWISE,
-    CAT_LINEAR,
     CostReport,
     compare_decoder_channels,
     conv_macs,
@@ -144,14 +142,6 @@ class TestFlops:
     def test_indivisible_input_rejected(self):
         with pytest.raises(ConfigError):
             estimate_flops(ipt_t(), 100, 100)
-
-    def test_mac_factor_flag(self):
-        one = estimate_flops(micro(), 32, 32)
-        two = estimate_flops(micro(), 32, 32, mac_factor=2)
-        by1, by2 = one.flops_by_category(), two.flops_by_category()
-        assert by2[CAT_LINEAR] == 2 * by1[CAT_LINEAR]
-        assert by2[CAT_ATTENTION] == 2 * by1[CAT_ATTENTION]
-        assert by2[CAT_ELEMENTWISE] == by1[CAT_ELEMENTWISE]
 
 
 class TestDecoderFacts:

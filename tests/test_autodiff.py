@@ -103,6 +103,27 @@ class TestBackward:
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
+    def test_grads_are_c_contiguous_whatever_closures_return(self):
+        # Q's backward returns a transposed view (F-ordered); backward() must
+        # still hand P a C-contiguous g and leave x with a C-contiguous grad.
+        x = t64(np.arange(12.0).reshape(3, 4), grad=True)
+        wq = t64(np.arange(12.0).reshape(4, 3) + 1.0)
+        seen = []
+
+        def p_bwd(g):
+            seen.append(g)
+            return (g,)
+
+        with GradTape() as tape:
+            m = T.record_op(x.data, (x,), p_bwd, "identity")
+            q = T.record_op(m.data.T, (m,), lambda g: (g.T,), "transpose_view")
+            loss = T.tsum(T.mul(q, wq))
+        backward(loss, tape)
+        assert seen[0].flags.c_contiguous
+        np.testing.assert_array_equal(seen[0], wq.data.T)
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, wq.data.T)
+
     def test_intermediate_grads_released(self):
         x = t64(np.arange(6.0).reshape(1, 1, 2, 3), grad=True)
         w = t64(np.ones((1, 1, 1, 1)), grad=True)

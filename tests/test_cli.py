@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, outputs, exit codes."""
 
+import copy
 import json
 import os
 import struct
@@ -23,6 +24,39 @@ TINY_CONFIG = {
     ],
     "decoder_channels": 8,
     "num_classes": 2,
+}
+
+
+def config_text(value: str, field: str, stage: int | None = None) -> bytes:
+    """TINY_CONFIG as JSON with one field set to the raw JSON text `value`."""
+    doc = copy.deepcopy(TINY_CONFIG)
+    (doc if stage is None else doc["stages"][stage])[field] = "@RAW@"
+    return json.dumps(doc).replace('"@RAW@"', value).encode()
+
+
+def checkpoint_bytes(name: bytes, dims: list[int]) -> bytes:
+    return (MAGIC + struct.pack("<IH", 1, len(name)) + name
+            + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + b"\0" * 4 + struct.pack("<Q", 0))
+
+
+INFER = ["infer", "{path}", "--model", "micro", "--out", "{out}"]
+ANALYZE = ["analyze", "--model", "{path}"]
+EVAL = ["eval", "--model", "micro", "--crop", "64x64", "--checkpoint", "{path}"]
+
+# Each of these once escaped run_cli as a raw Python exception.
+HOSTILE_INPUTS = {
+    "pgm-dims-not-integers": (INFER, b"P5\nabc 32\n255\n" + bytes(1024), 1),
+    "pgm-maxval-not-integer": (INFER, b"P5\n32 32\nzz\n" + bytes(1024), 1),
+    "pgm-negative-dims": (INFER, b"P5\n-32 -32\n255\n" + bytes(1024), 1),
+    "config-width-not-integer": (ANALYZE, config_text('"abc"', "decoder_channels"), 3),
+    "config-stages-not-list": (ANALYZE, config_text("5", "stages"), 3),
+    "config-eps-list": (ANALYZE, config_text("[1]", "norm_eps"), 3),
+    "config-channels-inf": (ANALYZE, config_text("1e400", "channels", stage=0), 3),
+    "config-width-inf": (ANALYZE, config_text("1e400", "decoder_channels"), 3),
+    "config-not-utf8": (ANALYZE, b"\xff\xfe{}", 3),
+    "config-nested-too-deep": (ANALYZE, b"[" * 100_000, 3),
+    "checkpoint-name-not-utf8": (EVAL, checkpoint_bytes(b"\xff\xfe", [1]), 1),
+    "checkpoint-rank-too-high": (EVAL, checkpoint_bytes(b"w", [1] * 70), 1),
 }
 
 
@@ -190,6 +224,14 @@ class TestExitCodes:
 
     def test_missing_config_file(self):
         assert run_cli(["analyze", "--model", "/nonexistent/cfg.json"]) == 3
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+    def test_hostile_input_file(self, case, tmp_path, capsys):
+        argv, payload, code = HOSTILE_INPUTS[case]
+        path = tmp_path / "input"
+        path.write_bytes(payload)
+        assert run_cli([a.format(path=path, out=tmp_path / "mask.pgm") for a in argv]) == code
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConfigRoundTrip:

@@ -264,15 +264,6 @@ class TestUnaryMaps:
         out = T.relu(t64([-1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
-    def test_dispatch(self):
-        x = t64([1.0, -2.0])
-        np.testing.assert_array_equal(T.unary_map(x, "neg").data, [-1.0, 2.0])
-        np.testing.assert_array_equal(T.unary_map(x, "scale", 3.0).data, [3.0, -6.0])
-        with pytest.raises(ConfigError):
-            T.unary_map(x, "scale")
-        with pytest.raises(ConfigError):
-            T.unary_map(x, "swish")
-
 
 class TestSeqImg:
     def test_round_trip_bitwise(self):

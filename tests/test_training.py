@@ -352,6 +352,17 @@ class TestCheckpoint:
         (it,) = struct.unpack_from("<Q", raw, off); off += 8
         assert it == 7 and off == len(raw)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), {"w": np.ones(3, dtype=np.float32)}, 1)
+        before = path.read_bytes()
+        # The second name cannot be encoded, so the save fails after "a" is written.
+        bad = {"a": np.zeros(1000, dtype=np.float32), "\ud800": np.zeros(1, dtype=np.float32)}
+        with pytest.raises(UnicodeEncodeError):
+            save_checkpoint(str(path), bad, 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
