@@ -23,6 +23,7 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError, CheckpointMagicError, CheckpointShapeError, CheckpointTruncatedError
+from .tensor import all_finite
 
 MAGIC = b"IPTCKPT1"
 MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
@@ -60,6 +61,8 @@ def _read(fh, n: int) -> bytes:
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
+    """Read a checkpoint; a tensor holding NaN or +-inf raises a
+    CheckpointError that names it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
@@ -84,7 +87,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
                     f"tensor {name!r} declares {nbytes} payload bytes, "
                     f"only {size - fh.tell()} left in the file")
             payload = _read(fh, nbytes)
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            if not all_finite(arr):
+                raise CheckpointError(f"tensor {name!r} holds non-finite values")
+            tensors[name] = arr
         (iteration,) = struct.unpack("<Q", _read(fh, 8))
     return tensors, iteration
 

@@ -18,7 +18,7 @@ from .config import PRESETS, load_model_config
 from .data import class_colors, make_synth_dataset
 from .errors import CheckpointError, ConfigError, ContractError, IncepFormerError
 from .gradcheck import check_model_gradients, check_op_gradients
-from .metrics import eval_miou
+from .metrics import class_map, eval_miou
 from .model import build_model, freeze_batchnorm_stats
 from .netpbm import read_image, write_pgm, write_ppm
 from .tensor import Tensor
@@ -202,7 +202,7 @@ def _cmd_infer(args) -> int:
     model.eval()
     logits = model(Tensor(image[None], dtype=args.dtype))
     up = T.bilinear_upsample(logits, h, w, align_corners=False)
-    mask = np.argmax(up.data[0], axis=0)
+    mask = class_map(up.data[0])
     if mask.max() > 255:
         raise ContractError("more than 256 classes cannot be written as 8-bit PGM")
     write_pgm(args.out, mask.astype(np.uint8))

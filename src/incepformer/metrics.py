@@ -48,6 +48,23 @@ class ConfusionMatrix:
         return float(per_class[present].mean()), per_class
 
 
+def class_map(scores: np.ndarray) -> np.ndarray:
+    """np.argmax(scores, axis=0) for finite [K, H, W] class scores.
+
+    A running maximum over the K class planes reads each plane once,
+    contiguously, where argmax over axis 0 strides across all K planes for
+    every pixel.  A strict `>` keeps the lowest index on ties, as argmax does.
+    """
+    best = scores[0].copy()
+    labels = np.zeros(best.shape, dtype=np.intp)
+    better = np.empty(best.shape, dtype=bool)
+    for k in range(1, scores.shape[0]):
+        np.greater(scores[k], best, out=better)
+        np.copyto(labels, k, where=better)
+        np.maximum(best, scores[k], out=best)
+    return labels
+
+
 @dataclass
 class MIoUResult:
     miou: float
@@ -56,7 +73,8 @@ class MIoUResult:
 
 
 def eval_miou(model, dataset, cfg) -> MIoUResult:
-    """Single-scale evaluation: upsample logits to label resolution, argmax.
+    """Single-scale evaluation: upsample logits to label resolution, then
+    `class_map`.
 
     BatchNorm runs in eval mode (running statistics).
     """
@@ -70,7 +88,7 @@ def eval_miou(model, dataset, cfg) -> MIoUResult:
         x = Tensor(sample.image[None], dtype=dtype)
         logits = model(x)
         up = T.bilinear_upsample(logits, h, w, align_corners=False)
-        pred = np.argmax(up.data[0], axis=0)
+        pred = class_map(up.data[0])
         cm.update(sample.label, pred, cfg.ignore_index)
     miou, per_class = cm.iou()
     return MIoUResult(miou=miou, per_class=per_class, confusion=cm)

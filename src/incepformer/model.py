@@ -116,9 +116,15 @@ class IncepMHSA(Module):
 
     def attend(self, q_tokens: Tensor, kv_tokens: Tensor) -> Tensor:
         """Scaled dot-product attention from query tokens onto key/value
-        tokens, including the head split and output projection."""
+        tokens, including the head split and output projection.
+
+        The 1/sqrt(head_dim) scale multiplies the projected queries [N, L, C]
+        rather than the scores [N, heads, L, Lk]: the same product up to
+        rounding, over far fewer values (Lk is 768 at stage 1 of a 512x512
+        input).
+        """
         n, l, c = q_tokens.shape
-        q = T.linear(q_tokens, self.wq, self.bq)
+        q = T.scale(T.linear(q_tokens, self.wq, self.bq), 1.0 / math.sqrt(self.head_dim))
         k = T.linear(kv_tokens, self.wk, self.bk)
         v = T.linear(kv_tokens, self.wv, self.bv)
         lk = k.shape[1]
@@ -126,8 +132,7 @@ class IncepMHSA(Module):
         qh = T.transpose(T.reshape(q, (n, l, hd, dk)), (0, 2, 1, 3))
         kt = T.transpose(T.reshape(k, (n, lk, hd, dk)), (0, 2, 3, 1))
         vh = T.transpose(T.reshape(v, (n, lk, hd, dk)), (0, 2, 1, 3))
-        scores = T.scale(T.matmul_batched(qh, kt), 1.0 / math.sqrt(dk))
-        weights = T.softmax(scores, axis=-1)
+        weights = T.softmax(T.matmul_batched(qh, kt), axis=-1)
         ctx = T.matmul_batched(weights, vh)
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, l, c))
         return T.linear(merged, self.wo, self.bo)

@@ -8,6 +8,7 @@ Names are slash-delimited paths, e.g. "stage1/block0/attn/wq".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -18,28 +19,45 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 
+# The most parameters one model may have: 2^28 (1 GiB of float32 weights,
+# about 6.8x ipt-b).
+MAX_PARAMS = 1 << 28
+
+
 @dataclass
 class InitCtx:
-    """Deterministic initialization context threaded through model build."""
+    """Deterministic initialization context threaded through model build.
+
+    Counts the parameters it creates: the tensor that would take the count
+    past MAX_PARAMS raises ConfigError before it is allocated.
+    """
 
     rng: np.random.Generator
     dtype: np.dtype
     with_bias: bool = True
+    n_params: int = 0
+
+    def _claim(self, *shape: int) -> tuple:
+        self.n_params += math.prod(shape)
+        if self.n_params > MAX_PARAMS:
+            raise ConfigError(f"model needs more than {MAX_PARAMS} parameters "
+                              f"(reached at a tensor of shape {shape})")
+        return shape
 
     def conv_weight(self, cout: int, cin_g: int, kh: int, kw: int) -> Tensor:
         fan_in = cin_g * kh * kw
         std = float(np.sqrt(2.0 / fan_in))
-        return T.parameter(self.rng.standard_normal((cout, cin_g, kh, kw)) * std, dtype=self.dtype)
+        return T.parameter(self.rng.standard_normal(self._claim(cout, cin_g, kh, kw)) * std, dtype=self.dtype)
 
     def linear_weight(self, cin: int, cout: int) -> Tensor:
         std = float(np.sqrt(2.0 / (cin + cout)))
-        return T.parameter(self.rng.standard_normal((cin, cout)) * std, dtype=self.dtype)
+        return T.parameter(self.rng.standard_normal(self._claim(cin, cout)) * std, dtype=self.dtype)
 
     def zeros(self, *shape: int) -> Tensor:
-        return T.parameter(np.zeros(shape), dtype=self.dtype)
+        return T.parameter(np.zeros(self._claim(*shape)), dtype=self.dtype)
 
     def ones(self, *shape: int) -> Tensor:
-        return T.parameter(np.ones(shape), dtype=self.dtype)
+        return T.parameter(np.ones(self._claim(*shape)), dtype=self.dtype)
 
 
 class Module:

@@ -157,6 +157,27 @@ class TestBackward:
         assert rows and all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
 
 
+class TestReductionGradients:
+    @pytest.mark.parametrize("op,scale", [(T.tsum, 1.0), (T.mean, 0.25)])
+    def test_leaf_grad_is_owned(self, op, scale):
+        # sum/mean return a broadcast view of their upstream gradient;
+        # backward() must still leave the leaf a writeable array of its own.
+        x = t64([[1.0, 2.0], [3.0, 4.0]], grad=True)
+        upstream = []
+
+        def bwd(g):
+            upstream.append(np.full(g.shape, 3.0))
+            return (upstream[0],)
+
+        with GradTape() as tape:
+            s = op(x)
+            loss = T.record_op(s.data * 3.0, (s,), bwd, "triple")
+        backward(loss, tape)
+        assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+        assert not np.shares_memory(x.grad, upstream[0])
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0 * scale))
+
+
 class TestDepthwiseGradients:
     # The model's depthwise geometries (reduction R = 4) at N = 2, f64.
     @pytest.mark.parametrize("shape,kernel,stride,padding", [

@@ -11,7 +11,7 @@ import pytest
 
 import incepformer
 from incepformer.analysis import count_params, estimate_flops
-from incepformer.checkpoint import MAGIC
+from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from incepformer.cli import run_cli
 from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro
 from incepformer.netpbm import read_image, write_ppm
@@ -42,6 +42,7 @@ def checkpoint_bytes(name: bytes, dims: list[int]) -> bytes:
 INFER = ["infer", "{path}", "--model", "micro", "--out", "{out}"]
 ANALYZE = ["analyze", "--model", "{path}"]
 EVAL = ["eval", "--model", "micro", "--crop", "64x64", "--checkpoint", "{path}"]
+TRAIN = ["train", "--model", "{path}", "--iters", "1", "--crop", "64x64"]
 
 # Each of these once escaped run_cli as a raw Python exception.
 HOSTILE_INPUTS = {
@@ -55,6 +56,8 @@ HOSTILE_INPUTS = {
     "config-width-inf": (ANALYZE, config_text("1e400", "decoder_channels"), 3),
     "config-not-utf8": (ANALYZE, b"\xff\xfe{}", 3),
     "config-nested-too-deep": (ANALYZE, b"[" * 100_000, 3),
+    "config-channels-huge": (TRAIN, config_text("1e18", "channels", stage=0), 3),
+    "config-decoder-huge": (TRAIN, config_text("1e12", "decoder_channels"), 3),
     "checkpoint-name-not-utf8": (EVAL, checkpoint_bytes(b"\xff\xfe", [1]), 1),
     "checkpoint-rank-too-high": (EVAL, checkpoint_bytes(b"w", [1] * 70), 1),
 }
@@ -153,6 +156,18 @@ class TestTrainEvalCommands:
                         "--crop", "64x64"])
         assert code == 1
         assert "payload bytes" in capsys.readouterr().err
+
+    def test_eval_non_finite_checkpoint_exit_code(self, tmp_path, capsys):
+        path = str(tmp_path / "nan.ckpt")
+        assert run_cli(["train", "--model", "micro", "--iters", "1", "--crop", "64x64",
+                        "--checkpoint", path]) == 0
+        tensors, iteration = load_checkpoint(path)
+        name = next(iter(tensors))
+        tensors[name].flat[0] = np.nan
+        save_checkpoint(path, tensors, iteration)
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", "micro", "--checkpoint", path, "--crop", "64x64"]) == 1
+        assert repr(name) in capsys.readouterr().err
 
     def test_train_determinism_across_invocations(self, capsys):
         run_cli(["train", "--model", "micro", "--iters", "2", "--crop", "64x64",

@@ -1,8 +1,11 @@
 """Forward-op unit tests against hand and brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import bilinear_pixel_oracle, conv2d_loops, int_valued
 
@@ -89,6 +92,52 @@ class TestConv2d:
         w = t64(np.zeros((1, 1, 5, 5)))
         with pytest.raises(ShapeError, match="height"):
             T.conv2d(x, w)
+
+
+class TestDepthwiseBlocking:
+    """Channel blocking of the depthwise conv must not change a bit of the
+    output or of any gradient."""
+
+    @staticmethod
+    def run(shape, kernel, stride, padding, bias, dtype, budget, monkeypatch):
+        monkeypatch.setattr(T, "DW_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(21)
+        c = shape[1]
+        x = T.parameter(rng.standard_normal(shape), dtype=dtype)
+        w = T.parameter(rng.standard_normal((c, 1) + kernel), dtype=dtype)
+        b = T.parameter(rng.standard_normal(c), dtype=dtype) if bias else None
+        with T.GradTape() as tape:
+            out = T.conv2d(x, w, b, stride=stride, padding=padding, groups=c)
+            proj = Tensor(rng.standard_normal(out.shape), dtype=dtype)
+            loss = T.tsum(T.mul(out, proj))
+        T.backward(loss, tape)
+        return [out.data, x.grad, w.grad] + ([b.grad] if bias else [])
+
+    # C = 5 channels: a two-channel budget leaves a ragged last block of one.
+    @pytest.mark.parametrize("shape,kernel,stride,padding", [
+        ((1, 5, 12, 10), (3, 3), (1, 1), (1, 1)),
+        ((2, 5, 9, 7), (3, 3), (1, 1), (1, 1)),
+        ((2, 5, 9, 7), (3, 3), (4, 4), (1, 1)),
+        ((1, 5, 8, 16), (1, 4), (1, 4), (0, 0)),
+        ((2, 5, 16, 8), (4, 1), (4, 1), (0, 0)),
+    ])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_blocked_equals_unblocked_bitwise(self, shape, kernel, stride, padding, bias, dtype,
+                                              monkeypatch):
+        n, _, h, w = shape
+        (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+        ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+        wide = (sh, sw) == (1, 1)
+        cols = w + 2 * pw if wide else wo
+        item = np.dtype(T.DTYPES[dtype]).itemsize
+        # Bytes one channel of a block takes (see DW_BLOCK_BYTES).
+        per_channel = n * ((h + 2 * ph + wide) * (w + 2 * pw) + 2 * ho * cols) * item
+        whole = self.run(shape, kernel, stride, padding, bias, dtype, 1 << 40, monkeypatch)
+        for budget in (1, 2 * per_channel, 3 * per_channel):
+            blocked = self.run(shape, kernel, stride, padding, bias, dtype, budget, monkeypatch)
+            for got, want in zip(blocked, whole):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestAvgPool:
@@ -190,6 +239,12 @@ class TestSoftmax:
         out = T.softmax(t64([[1e300, 1e300]]), axis=-1)
         np.testing.assert_allclose(out.data[0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equals_direct_expression(self, dtype):
+        x = (np.random.default_rng(6).standard_normal((3, 4, 50)) * 8).astype(dtype)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert T.softmax(Tensor(x), axis=-1).data.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 10 ** 6))
     def test_rows_sum_to_one(self, rows, cols, seed):
@@ -264,6 +319,31 @@ class TestUnaryMaps:
         out = T.relu(t64([-1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_bitwise_equals_direct_expressions(self, dtype):
+        # In-place evaluation must round exactly like the plain expressions,
+        # subnormal and near-zero inputs included.
+        tiny = [1e-39, -1e-39, 5e-45, -5e-45, 2.5e-38, -2.5e-38, 0.0, -0.0, 40.0, -40.0]
+        d = np.concatenate([np.random.default_rng(3).standard_normal(500) * 4, tiny]).astype(dtype)
+        g = np.random.default_rng(4).standard_normal(d.shape).astype(dtype)
+        x = T.parameter(d)
+        with T.GradTape() as tape:
+            out = T.gelu(x)
+            loss = T.tsum(T.mul(out, Tensor(g)))
+        T.backward(loss, tape)
+        c, k = T.GELU_COEF, T.GELU_CUBIC
+        t = np.tanh(c * (d + k * d * d * d))
+        want = 0.5 * d * (1.0 + t)
+        local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (c * (1.0 + 3.0 * k * d * d))
+        assert out.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == (g * local).tobytes()
+        # Near the top of the range 0.5 * d * (1 + t) is finite where
+        # (1 + t) * d would overflow.
+        huge = np.array([3e38, -3e38, 1.7e38], dtype=dtype)
+        with np.errstate(over="ignore"):
+            t = np.tanh(c * (huge + k * huge * huge * huge))
+            assert T.gelu(Tensor(huge)).data.tobytes() == (0.5 * huge * (1.0 + t)).tobytes()
+
 
 class TestSeqImg:
     def test_round_trip_bitwise(self):
@@ -289,6 +369,33 @@ class TestSeqImg:
         x = np.random.default_rng(seed).standard_normal((n, c, h, w))
         back = T.seq2img(T.img2seq(t64(x)), h, w)
         np.testing.assert_array_equal(back.data, x)
+
+
+class TestAllFinite:
+    """all_finite (chunked) agrees with np.isfinite(a).all()."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(lambda dt: hnp.arrays(
+        dt, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+        elements=st.floats(width=np.dtype(dt).itemsize * 8))), st.sampled_from([1, 4, 1 << 16]))
+    def test_equals_isfinite_all(self, a, chunk):
+        with mock.patch.object(T, "FINITE_CHUNK", chunk):
+            assert T.all_finite(a) == bool(np.isfinite(a).all())
+
+    # (7,) and (200_000,) hold one and four default chunks, the last ragged.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf, 3e38, -3e38])
+    @pytest.mark.parametrize("shape,at", [((), ()), ((7,), (6,)), ((3, 4, 5), (2, 0, 3)),
+                                          ((200_000,), (199_999,)), ((200_000,), (70_000,))])
+    def test_planted_values(self, dtype, planted, shape, at):
+        a = np.random.default_rng(5).standard_normal(shape).astype(dtype)
+        a.flat[0] = planted  # two copies: a sum of two 3e38 would overflow float32
+        a[at] = planted
+        assert T.all_finite(a) == bool(np.isfinite(a).all())
+        assert T.all_finite(a) == (abs(planted) == 3e38)
+
+    def test_size_zero_passes(self):
+        assert T.all_finite(np.zeros((0, 3), dtype=np.float32))
 
 
 class TestEngineContracts:

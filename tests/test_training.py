@@ -22,13 +22,14 @@ from incepformer.data import (
     render_label,
 )
 from incepformer.errors import (
+    CheckpointError,
     CheckpointMagicError,
     CheckpointShapeError,
     CheckpointTruncatedError,
     ContractError,
 )
 from incepformer.gradcheck import check_function
-from incepformer.metrics import ConfusionMatrix, eval_miou
+from incepformer.metrics import ConfusionMatrix, class_map, eval_miou
 from incepformer.model import build_model
 from incepformer.tensor import GradTape, Tensor, backward
 from incepformer.train import (
@@ -309,8 +310,28 @@ class TestMIoU:
         with pytest.raises(ContractError):
             eval_miou(model, [], tcfg())
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 150])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_class_map_equals_argmax(self, k, dtype):
+        rng = np.random.default_rng(k)
+        scores = rng.standard_normal((k, 9, 11)).astype(dtype)
+        np.testing.assert_array_equal(class_map(scores), np.argmax(scores, axis=0))
+        # Three values only: most pixels tie, and the first maximum must win.
+        ties = rng.integers(-1, 2, (k, 9, 11)).astype(dtype)
+        ties[:, 0, :] = 1.0  # every class ties on the first row
+        np.testing.assert_array_equal(class_map(ties), np.argmax(ties, axis=0))
+
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, bad):
+        tensors = {"a/w": np.ones((2, 3), dtype=np.float32), "b/m1": np.ones(4, dtype=np.float32)}
+        tensors["b/m1"][2] = bad
+        path = str(tmp_path / "nan.ckpt")
+        save_checkpoint(path, tensors, iteration=1)
+        with pytest.raises(CheckpointError, match="'b/m1'.*non-finite"):
+            load_checkpoint(path)
+
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         tensors = {
