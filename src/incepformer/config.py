@@ -8,12 +8,15 @@ gradient checking).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import ConfigError
 
 PATCH_MODES = ("nonoverlap", "overlap")
+# The most classes a config may declare: far above ADE20K's 150, and small
+# enough that the per-class palette and score planes stay cheap.
+MAX_NUM_CLASSES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ class ModelConfig:
             s.validate(f"stages[{i}]")
         if self.decoder_channels < 1:
             raise ConfigError(f"decoder_channels must be positive, got {self.decoder_channels}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not 2 <= self.num_classes <= MAX_NUM_CLASSES:
+            raise ConfigError(f"num_classes must be in [2, {MAX_NUM_CLASSES}], got {self.num_classes}")
         if self.patch_mode not in PATCH_MODES:
             raise ConfigError(f"patch_mode must be one of {PATCH_MODES}, got {self.patch_mode!r}")
         if self.norm_eps < 0:
@@ -177,14 +180,13 @@ def micro(num_classes: int = 4) -> ModelConfig:
 PRESETS = {"ipt-t": ipt_t, "ipt-s": ipt_s, "ipt-b": ipt_b, "micro": micro}
 
 
-def load_model_config(path_or_name: str, num_classes: int | None = None) -> ModelConfig:
+def load_model_config(path_or_name: str) -> ModelConfig:
     """Resolve a preset name, or parse a JSON config file.
 
     JSON syntax errors report line/column; semantic errors name the field.
     """
     if path_or_name in PRESETS:
-        cfg = PRESETS[path_or_name]() if num_classes is None else PRESETS[path_or_name](num_classes)
-        return cfg
+        return PRESETS[path_or_name]()
     try:
         with open(path_or_name, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -198,8 +200,4 @@ def load_model_config(path_or_name: str, num_classes: int | None = None) -> Mode
         ) from e
     except RecursionError:
         raise ConfigError(f"{path_or_name}: JSON nested too deeply") from None
-    cfg = from_dict(doc)
-    if num_classes is not None:
-        cfg = replace(cfg, num_classes=num_classes)
-        cfg.validate()
-    return cfg
+    return from_dict(doc)

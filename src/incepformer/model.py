@@ -2,8 +2,8 @@
 blocks, the four-stage pyramid encoder and the upsample-concat decoder.
 
 Layout conventions: images are [N, C, H, W]; token sequences are [N, L, C]
-with row-major token order.  Blocks take and return sequences; the
-normalization layers inside a block run on the image layout.
+with row-major token order.  Stages and blocks take and return images;
+token sequences exist only inside attention (`IncepMHSA`, `IncepReduce`).
 """
 
 from __future__ import annotations
@@ -90,8 +90,11 @@ class IncepReduce(Module):
 
 
 class IncepMHSA(Module):
-    """Multi-head attention with queries from the input tokens and keys/values
-    from the reduced token sequence."""
+    """Multi-head attention on an [N, C, H, W] map: queries are its tokens,
+    keys/values the `IncepReduce` sequence.  q is taken before the reduction,
+    so backward() adds q's gradient to the input's last, after the reduction
+    branches' sum: the grouping of the block composed on sequences, which
+    tests pin bitwise."""
 
     def __init__(self, channels: int, heads: int, reduction: int, init: InitCtx,
                  eps: float, bypass_r1: bool = False):
@@ -137,17 +140,16 @@ class IncepMHSA(Module):
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, l, c))
         return T.linear(merged, self.wo, self.bo)
 
-    def forward(self, x_seq: Tensor, h: int, w: int) -> Tensor:
-        if x_seq.shape[1] != h * w:
-            raise ShapeError(f"token count {x_seq.shape[1]} != {h}x{w}")
-        o = self.reduce(T.seq2img(x_seq, h, w))
-        return self.attend(x_seq, o)
+    def forward(self, x: Tensor) -> Tensor:
+        q = T.img2seq(x)
+        o = self.reduce(x)
+        return T.seq2img(self.attend(q, o), x.shape[2], x.shape[3])
 
     __call__ = forward
 
 
 class EFFN(Module):
-    """Feed-forward block on the image layout:
+    """Feed-forward block on an [N, C, H, W] map:
     BN -> 1x1 conv (C -> ratio*C) -> 3x3 depthwise -> GELU -> 1x1 conv -> + input."""
 
     def __init__(self, channels: int, ratio: int, init: InitCtx, eps: float):
@@ -158,17 +160,15 @@ class EFFN(Module):
         self.dw = Conv2d(hidden, hidden, 3, stride=1, padding=1, groups=hidden, init=init)
         self.fc2 = Conv2d(hidden, channels, 1, init=init)
 
-    def forward(self, x_seq: Tensor, h: int, w: int) -> Tensor:
-        xin = T.seq2img(x_seq, h, w)
-        y = self.fc2(T.gelu(self.dw(self.fc1(self.bn(xin)))))
-        return T.img2seq(T.add(y, xin))
+    def forward(self, x: Tensor) -> Tensor:
+        return T.add(self.fc2(T.gelu(self.dw(self.fc1(self.bn(x))))), x)
 
     __call__ = forward
 
 
 class IPTBlock(Module):
-    """Inception transformer block: BN -> attention -> residual, then the
-    E-FFN sub-block (which owns the second BN and residual)."""
+    """Inception transformer block on an [N, C, H, W] map: BN -> attention ->
+    + input, then the E-FFN sub-block (which owns the second BN and residual)."""
 
     def __init__(self, channels: int, heads: int, reduction: int, ratio: int,
                  init: InitCtx, eps: float, bypass_r1: bool = False):
@@ -177,10 +177,8 @@ class IPTBlock(Module):
         self.attn = IncepMHSA(channels, heads, reduction, init, eps, bypass_r1)
         self.ffn = EFFN(channels, ratio, init, eps)
 
-    def forward(self, x_seq: Tensor, h: int, w: int) -> Tensor:
-        xn = T.img2seq(self.bn1(T.seq2img(x_seq, h, w)))
-        x_att = T.add(x_seq, self.attn(xn, h, w))
-        return self.ffn(x_att, h, w)
+    def forward(self, x: Tensor) -> Tensor:
+        return self.ffn(T.add(x, self.attn(self.bn1(x))))
 
     __call__ = forward
 
@@ -196,13 +194,11 @@ class Stage(Module):
                     IPTBlock(sc.channels, sc.heads, sc.reduction, sc.ffn_ratio,
                              init, cfg.norm_eps, cfg.bypass_reduce_r1))
 
-    def forward(self, x_img: Tensor) -> Tensor:
-        x = self.patch(x_img)
-        _, _, h, w = x.shape
-        seq = T.img2seq(x)
+    def forward(self, x: Tensor) -> Tensor:
+        x = self.patch(x)
         for j in range(self.depth):
-            seq = getattr(self, f"block{j}")(seq, h, w)
-        return T.seq2img(seq, h, w)
+            x = getattr(self, f"block{j}")(x)
+        return x
 
     __call__ = forward
 

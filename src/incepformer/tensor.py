@@ -819,11 +819,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # resampling / layout
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _interp_matrix_cached(in_size: int, out_size: int, align_corners: bool, dtype_name: str) -> np.ndarray:
+def interp_matrix(in_size: int, out_size: int, align_corners: bool, dtype=np.float64) -> np.ndarray:
+    """Dense 1-D bilinear interpolation matrix [out_size, in_size], built fresh.
+
+    align_corners=False uses half-pixel centers (source = (i + 0.5) * in/out
+    - 0.5, clamped); align_corners=True maps endpoints to endpoints.
+    """
     if out_size < 1 or in_size < 1:
         raise ShapeError("interpolation sizes must be >= 1")
-    w = np.zeros((out_size, in_size), dtype=np.dtype(dtype_name))
+    w = np.zeros((out_size, in_size), dtype=np.dtype(dtype))
     idx = np.arange(out_size, dtype=np.float64)
     if align_corners:
         src = idx * (in_size - 1) / (out_size - 1) if out_size > 1 else np.zeros(out_size)
@@ -836,18 +840,15 @@ def _interp_matrix_cached(in_size: int, out_size: int, align_corners: bool, dtyp
     for r in range(out_size):
         w[r, i0[r]] += 1.0 - frac[r]
         w[r, i1[r]] += frac[r]
-    w.setflags(write=False)
     return w
 
 
-def interp_matrix(in_size: int, out_size: int, align_corners: bool, dtype=np.float64) -> np.ndarray:
-    """Dense 1-D bilinear interpolation matrix [out_size, in_size].
-
-    align_corners=False uses half-pixel centers (source = (i + 0.5) * in/out
-    - 0.5, clamped); align_corners=True maps endpoints to endpoints.
-    """
-    return _interp_matrix_cached(int(in_size), int(out_size), bool(align_corners),
-                                 np.dtype(dtype).name).copy()
+@lru_cache(maxsize=512)
+def _interp_matrix_cached(in_size: int, out_size: int, align_corners: bool, dtype_name: str) -> np.ndarray:
+    """Read-only `interp_matrix` for `bilinear_upsample`'s few model sizes."""
+    w = interp_matrix(in_size, out_size, align_corners, dtype_name)
+    w.setflags(write=False)
+    return w
 
 
 def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = False) -> Tensor:

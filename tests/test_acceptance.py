@@ -139,7 +139,7 @@ def test_attention_oracle():
 
     attn = IncepMHSA(4, 2, 2, make_init(8), eps=1e-5)
     x = Tensor(np.random.default_rng(9).standard_normal((1, 4, 4)), dtype="f64")
-    got = attn(x, 2, 2)  # 4 query tokens, 3 key/value tokens
+    got = T.img2seq(attn(T.seq2img(x, 2, 2)))  # 4 query tokens, 3 key/value tokens
     o = attn.reduce(T.seq2img(x, 2, 2))
     assert x.shape[1] <= 6 and o.shape[1] <= 6
     want = attention_loop_oracle(x.data, o.data, attn)
@@ -153,7 +153,7 @@ def test_attention_oracle():
         attn.wo.data[...] = np.eye(4)
         attn.bo.data[...] = 0.0
         x = Tensor(np.random.default_rng(2000 + trial).standard_normal((1, 16, 4)), dtype="f64")
-        out = attn(x, 4, 4)
+        out = T.img2seq(attn(T.seq2img(x, 4, 4)))
         assert np.abs(out.data - v_const).max() < 1e-9
 
 

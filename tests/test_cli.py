@@ -58,6 +58,7 @@ HOSTILE_INPUTS = {
     "config-nested-too-deep": (ANALYZE, b"[" * 100_000, 3),
     "config-channels-huge": (TRAIN, config_text("1e18", "channels", stage=0), 3),
     "config-decoder-huge": (TRAIN, config_text("1e12", "decoder_channels"), 3),
+    "config-num-classes-huge": (TRAIN, config_text("1e12", "num_classes"), 3),
     "checkpoint-name-not-utf8": (EVAL, checkpoint_bytes(b"\xff\xfe", [1]), 1),
     "checkpoint-rank-too-high": (EVAL, checkpoint_bytes(b"w", [1] * 70), 1),
 }

@@ -9,6 +9,7 @@ from oracles import attention_loop_oracle, make_init
 
 from incepformer import tensor as T
 from incepformer.config import (
+    MAX_NUM_CLASSES,
     StageConfig,
     dumps,
     from_dict,
@@ -60,6 +61,14 @@ class TestConfig:
         doc = to_dict(micro())
         doc["stages"] = doc["stages"][:3]
         with pytest.raises(ConfigError, match="4"):
+            from_dict(doc)
+
+    def test_num_classes_bounded(self):
+        doc = to_dict(micro())
+        doc["num_classes"] = MAX_NUM_CLASSES
+        assert from_dict(doc).num_classes == MAX_NUM_CLASSES
+        doc["num_classes"] = MAX_NUM_CLASSES + 1
+        with pytest.raises(ConfigError, match="num_classes"):
             from_dict(doc)
 
     def test_round_trip(self):
@@ -142,7 +151,7 @@ class TestIncepMHSA:
         attn.bv.data[...] = v
         attn.wo.data[...] = np.eye(4)
         attn.bo.data[...] = 0.0
-        out = attn(rand_t((2, 16, 4), seed=4), 4, 4)
+        out = T.img2seq(attn(T.seq2img(rand_t((2, 16, 4), seed=4), 4, 4)))
         np.testing.assert_allclose(out.data, np.broadcast_to(v, (2, 16, 4)), atol=1e-12)
 
     def test_attend_matches_loop_oracle_2q_3kv(self):
@@ -157,7 +166,7 @@ class TestIncepMHSA:
         # 2x2 input with R=2: 4 query tokens, 3 key/value tokens
         attn = IncepMHSA(4, 2, 2, make_init(8), eps=1e-5)
         x = rand_t((1, 4, 4), seed=9)
-        got = attn(x, 2, 2)
+        got = T.img2seq(attn(T.seq2img(x, 2, 2)))
         o = attn.reduce(T.seq2img(x, 2, 2))
         assert o.shape[1] == 3
         want = attention_loop_oracle(x.data, o.data, attn)
@@ -197,7 +206,7 @@ class TestEFFN:
             conv.weight.data[...] = 0.0
             conv.bias.data[...] = 0.0
         x = rand_t((2, 12, 4), seed=11)
-        out = ffn(x, 3, 4)
+        out = T.img2seq(ffn(T.seq2img(x, 3, 4)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_param_count_c64_ratio4(self):
@@ -209,7 +218,7 @@ class TestEFFN:
         ffn = EFFN(6, 3, make_init(12), eps=1e-5)
         for hw in [(2, 5), (4, 4), (1, 8)]:
             x = rand_t((1, hw[0] * hw[1], 6), seed=13)
-            assert ffn(x, *hw).shape == x.shape
+            assert T.img2seq(ffn(T.seq2img(x, *hw))).shape == x.shape
 
 
 class TestIPTBlock:
@@ -226,13 +235,13 @@ class TestIPTBlock:
     def test_double_residual_identity(self):
         blk = self._zeroed_block().eval()
         x = rand_t((2, 16, 4), seed=15)
-        out = blk(x, 4, 4)
+        out = T.img2seq(blk(T.seq2img(x, 4, 4)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
         blk = IPTBlock(8, 2, 2, 2, make_init(16), eps=1e-5)
         x = rand_t((1, 24, 8), seed=17)
-        assert blk(x, 4, 6).shape == x.shape
+        assert T.img2seq(blk(T.seq2img(x, 4, 6))).shape == x.shape
 
     def test_gradcheck_wq(self):
         from incepformer.model import freeze_batchnorm_stats
@@ -243,7 +252,7 @@ class TestIPTBlock:
         proj = rand_t((1, 16, 4), seed=20)
 
         def loss_fn():
-            return T.tsum(T.mul(blk(x, 4, 4), proj))
+            return T.tsum(T.mul(T.img2seq(blk(T.seq2img(x, 4, 4))), proj))
 
         with GradTape() as tape:
             loss = loss_fn()
@@ -252,6 +261,43 @@ class TestIPTBlock:
         fd = finite_diff_grad(lambda _t: loss_fn().item(), blk.attn.wq, h=1e-5)
         assert blk.attn.wq.size <= 48
         assert rel_error(auto, fd) < 1e-4
+
+
+    @staticmethod
+    def _sequence_layout_block(blk, x_seq, h, w):
+        """The block as composed on [N, L, C] token sequences, converting to
+        the image layout around each norm and convolution."""
+        xn = T.img2seq(blk.bn1(T.seq2img(x_seq, h, w)))
+        x_att = T.add(x_seq, blk.attn.attend(xn, blk.attn.reduce(T.seq2img(xn, h, w))))
+        xin = T.seq2img(x_att, h, w)
+        f = blk.ffn
+        return T.img2seq(T.add(f.fc2(T.gelu(f.dw(f.fc1(f.bn(xin))))), xin))
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("hw", [(4, 6), (5, 3)])
+    def test_equals_sequence_layout_bitwise(self, dtype, hw):
+        from incepformer.model import freeze_batchnorm_stats
+
+        h, w = hw
+        blk = IPTBlock(8, 2, 2, 2, make_init(21, dtype=dtype), eps=1e-5)
+        freeze_batchnorm_stats(blk)
+        x = rand_t((2, 8, h, w), seed=22, dtype=dtype)
+        x.requires_grad = True
+        proj = rand_t((2, 8, h, w), seed=23, dtype=dtype)
+        leaves = [x] + [p for _, p in blk.named_parameters()]
+
+        def run(forward):
+            with GradTape() as tape:
+                out = forward()
+                loss = T.tsum(T.mul(out, proj))
+            backward(loss, tape)
+            return out.data.copy(), [t.grad.copy() for t in leaves]
+
+        want, want_grads = run(lambda: T.seq2img(self._sequence_layout_block(blk, T.img2seq(x), h, w), h, w))
+        got, got_grads = run(lambda: blk(x))
+        np.testing.assert_array_equal(got, want)
+        for (name, _), g, wg in zip([("x", x)] + list(blk.named_parameters()), got_grads, want_grads):
+            assert np.array_equal(g, wg), name
 
 
 class TestEncoderDecoder:

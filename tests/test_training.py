@@ -112,6 +112,15 @@ class TestAugment:
         assert (out.label == cfg.ignore_index).any()
         assert out.image.shape == (3, 64, 64)
 
+    def test_leaves_upsample_cache_untouched(self):
+        # per-sample resize sizes must not fill the model's interpolation cache
+        cfg = tcfg(crop=(32, 32), scale_range=(0.5, 2.0))
+        sample = make_synth_dataset(1, 48, 48, 3, seed=6)[0]
+        T._interp_matrix_cached.cache_clear()  # sizes cached by earlier tests would hide a fill
+        for i in range(10):
+            augment(sample, cfg, np.random.default_rng(i))
+        assert T._interp_matrix_cached.cache_info().currsize == 0
+
     def test_label_values_preserved_or_ignore(self):
         cfg = tcfg(crop=(32, 32), scale_range=(0.6, 1.7), flip_prob=0.5)
         sample = make_synth_dataset(1, 48, 48, 4, seed=4)[0]
