@@ -82,7 +82,7 @@ class IncepReduce(Module):
             xpad = T.pad2d(x, (0, ch * r - h, 0, cw * r - w))
         b1 = self.dw_rx1(self.dw_1xr(xpad))
         b2 = self.dw_3x3_b2(x)
-        b3 = self.dw_3x3_b3(T.avg_pool2d(xpad, r, r))
+        b3 = self.dw_3x3_b3(T.avg_pool2d(xpad, r))
         o = T.concat([T.img2seq(b1), T.img2seq(b2), T.img2seq(b3)], axis=1)
         return self.ln(o)
 

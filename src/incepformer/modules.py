@@ -147,8 +147,7 @@ class Conv2d(Module):
                  groups: int = 1, init: InitCtx = None, bias: bool = True):
         super().__init__()
         kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
-        if cin % groups or cout % groups:
-            raise ConfigError(f"groups={groups} must divide cin={cin} and cout={cout}")
+        T.check_conv_groups(cin, cout, groups)
         self.stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
         self.padding = (padding, padding) if isinstance(padding, int) else tuple(padding)
         self.groups = groups

@@ -481,10 +481,11 @@ def _conv_out_size(n: int, k: int, s: int, p: int) -> int:
     return (n + 2 * p - k) // s + 1
 
 
-def _patches(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Strided view [N, C, Ho, Wo, kh, kw] over a padded input."""
-    v = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return v[:, :, ::sh, ::sw]
+def check_conv_groups(cin: int, cout: int, groups: int):
+    """The two channel groupings the model runs: dense (groups == 1) and
+    depthwise (groups == Cin == Cout)."""
+    if groups != 1 and not groups == cin == cout:
+        raise ConfigError(f"groups={groups} must be 1 or equal Cin={cin} and Cout={cout}")
 
 
 def conv2d(
@@ -495,17 +496,17 @@ def conv2d(
     padding: tuple = (0, 0),
     groups: int = 1,
 ) -> Tensor:
-    """2-D cross-correlation with zero padding and channel groups.
+    """2-D cross-correlation with zero padding, dense or depthwise.
 
-    x: [N, Cin, H, W]; w: [Cout, Cin/groups, Kh, Kw]; b: [Cout].
+    x: [N, Cin, H, W]; w: [Cout, Cin/groups, Kh, Kw]; b: [Cout].  `groups`
+    is 1 (dense) or Cin == Cout (depthwise); anything else is a ConfigError.
     Output spatial size: floor((H + 2p - K)/s) + 1 per axis.
 
     The input shape picks one of three paths: an unpadded, unstrided 1x1
-    dense conv is a channel matmul; depthwise (groups == Cin == Cout) sums
-    the Kh*Kw shifted input slices directly, one cache-sized block of
-    channels at a time (bitwise the same as unblocked); everything else
-    (the patch embeds, general grouped convs) runs im2col as a batched
-    matmul.
+    dense conv is a channel matmul; depthwise sums the Kh*Kw shifted input
+    slices directly, one cache-sized block of channels at a time (bitwise
+    the same as unblocked); the other dense convs (the patch embeds) run
+    im2col as one matrix product.
     """
     _binary_check(x, w, "conv2d")
     if x.ndim != 4 or w.ndim != 4:
@@ -518,8 +519,7 @@ def conv2d(
         raise ConfigError(f"conv2d stride must be >= 1, got {stride}")
     if ph < 0 or pw < 0:
         raise ConfigError(f"conv2d padding must be >= 0, got {padding}")
-    if groups < 1 or cin % groups or cout % groups:
-        raise ConfigError(f"groups={groups} must divide Cin={cin} and Cout={cout}")
+    check_conv_groups(cin, cout, groups)
     if cin_g != cin // groups:
         raise ShapeError(f"weight channel dim {cin_g} != Cin/groups = {cin // groups}")
     if kh > h + 2 * ph:
@@ -552,7 +552,7 @@ def conv2d(
     elif groups == cin == cout:
         out, bwd = _conv2d_depthwise(x.data, w.data, bias, (sh, sw), (ph, pw), (ho, wo))
     else:
-        out, bwd = _conv2d_im2col(x.data, w.data, bias, (sh, sw), (ph, pw), (ho, wo), groups)
+        out, bwd = _conv2d_im2col(x.data, w.data, bias, (sh, sw), (ph, pw), (ho, wo))
 
     inputs = (x, w) if b is None else (x, w, b)
     return record_op(out, inputs, bwd, "conv2d")
@@ -639,33 +639,24 @@ def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
     return out, bwd
 
 
-def _conv2d_im2col(x, w, b, stride, padding, out_hw, groups):
-    """General grouped convolution as a per-group batched matmul over
-    [N*Ho*Wo, Cg*Kh*Kw] patch rows."""
+def _conv2d_im2col(x, w, b, stride, padding, out_hw):
+    """Dense convolution as one matrix product of [N*Ho*Wo, Cin*Kh*Kw]
+    patch rows with the [Cin*Kh*Kw, Cout] weight."""
     n, cin, h, wdt = x.shape
-    cout, cg, kh, kw = w.shape
+    cout, _, kh, kw = w.shape
     (sh, sw), (ph, pw), (ho, wo) = stride, padding, out_hw
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    pat = _patches(xp, kh, kw, sh, sw)  # [N, Cin, Ho, Wo, kh, kw]
-    og, ck = cout // groups, cg * kh * kw
-    pat2 = np.ascontiguousarray(
-        pat.reshape(n, groups, cg, ho, wo, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
-    ).reshape(groups, n * ho * wo, ck)
-    w2 = w.reshape(groups, og, ck)
-    out = np.matmul(pat2, w2.transpose(0, 2, 1))
-    out = np.ascontiguousarray(
-        out.reshape(groups, n, ho, wo, og).transpose(1, 0, 4, 2, 3).reshape(n, cout, ho, wo)
-    )
+    pat = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]  # [N, Cin, Ho, Wo, kh, kw]
+    pat2 = np.ascontiguousarray(pat.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * kh * kw)
+    w2 = w.reshape(cout, cin * kh * kw)
+    out = np.ascontiguousarray((pat2 @ w2.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
     if b is not None:
         out += b[None, :, None, None]
 
     def bwd(g):
-        g2 = np.ascontiguousarray(
-            g.reshape(n, groups, og, ho, wo).transpose(1, 0, 3, 4, 2)
-        ).reshape(groups, n * ho * wo, og)
-        gw = np.matmul(pat2.transpose(0, 2, 1), g2).transpose(0, 2, 1).reshape(cout, cg, kh, kw)
-        gpat = np.matmul(g2, w2).reshape(groups, n, ho, wo, cg, kh, kw)
-        gpat = gpat.transpose(1, 0, 4, 2, 3, 5, 6).reshape(n, cin, ho, wo, kh, kw)
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
+        gw = (pat2.T @ g2).T.reshape(cout, cin, kh, kw)
+        gpat = (g2 @ w2).reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         gxp = np.zeros_like(xp)
         for u in range(kh):
             for v in range(kw):
@@ -679,28 +670,23 @@ def _conv2d_im2col(x, w, b, stride, padding, out_hw, groups):
     return out, bwd
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
-    """Mean over non-padded k x k windows; out = floor((H - k)/s) + 1."""
+def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
+    """Mean over the non-overlapping k x k windows of a [N, C, H, W] input
+    whose H and W are multiples of k: out = [N, C, H/k, W/k]."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-D input, got {x.shape}")
-    k, s = int(kernel), int(stride)
-    if k < 1 or s < 1:
-        raise ConfigError(f"avg_pool2d kernel/stride must be >= 1, got {kernel}, {stride}")
+    k = int(kernel)
+    if k < 1:
+        raise ConfigError(f"avg_pool2d kernel must be >= 1, got {kernel}")
     n, c, h, w = x.shape
-    if k > h or k > w:
-        raise ShapeError(f"pool kernel {k} exceeds input {h}x{w}")
-    ho = (h - k) // s + 1
-    wo = (w - k) // s + 1
-    pat = _patches(x.data, k, k, s, s)
-    out = pat.mean(axis=(-2, -1))
+    if h % k or w % k:
+        raise ShapeError(f"avg_pool2d input {h}x{w} is not a multiple of kernel {k}")
+    ho, wo = h // k, w // k
+    out = x.data.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gs = g / (k * k)
-        for u in range(k):
-            for v in range(k):
-                gx[:, :, u : u + s * ho : s, v : v + s * wo : s] += gs
-        return (gx,)
+        gs = (g / (k * k))[:, :, :, None, :, None]
+        return (np.broadcast_to(gs, (n, c, ho, k, wo, k)).reshape(n, c, h, w),)
 
     return record_op(out, (x,), bwd, "avg_pool2d")
 
@@ -733,7 +719,10 @@ def batch_norm2d(
     Train mode uses batch statistics over N*H*W (biased variance) and, when
     `update_running` is set, folds them into the running buffers as
     running = (1 - momentum) * running + momentum * batch.  Eval mode
-    normalizes with the running buffers only.
+    normalizes with the running buffers only.  The mode picks only the
+    statistics and the input gradient: in train mode the statistics depend
+    on x, so its gradient has the two batch-sum terms; in eval mode it is
+    g * gamma * inv_std.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm2d expects 4-D input, got {x.shape}")
@@ -746,9 +735,8 @@ def batch_norm2d(
         if t.shape != (c,):
             raise ShapeError(f"batch_norm2d {name} shape {t.shape} != ({c},)")
     g_col = gamma.data[None, :, None, None]
-
+    m = n * h * w
     if mode == "train":
-        m = n * h * w
         if m == 1:
             raise NumericsError("batch_norm2d train mode with a single value per channel has degenerate statistics")
         mean_c = x.data.mean(axis=(0, 2, 3))
@@ -758,34 +746,25 @@ def batch_norm2d(
             running_mean += momentum * mean_c
             running_var *= 1.0 - momentum
             running_var += momentum * var_c
-        inv = _safe_inv_sqrt(var_c, eps)
-        xhat = (x.data - mean_c[None, :, None, None]) * inv[None, :, None, None]
-        out = g_col * xhat + beta.data[None, :, None, None]
+    else:
+        mean_c, var_c = running_mean, running_var
+    inv = _safe_inv_sqrt(var_c, eps)[None, :, None, None]
+    xhat = (x.data - mean_c[None, :, None, None]) * inv
+    out = g_col * xhat + beta.data[None, :, None, None]
 
-        def bwd(g):
+    def bwd(g):
+        if mode == "train":
             dxhat = g * g_col
             s1 = dxhat.sum(axis=(0, 2, 3))
             s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-            gx = (inv[None, :, None, None] / m) * (
-                m * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
-            )
-            ggamma = (g * xhat).sum(axis=(0, 2, 3))
-            gbeta = g.sum(axis=(0, 2, 3))
-            return gx.astype(x.dtype, copy=False), ggamma, gbeta
-
-        return record_op(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd, "batch_norm2d")
-
-    inv = _safe_inv_sqrt(running_var, eps)
-    xhat = (x.data - running_mean[None, :, None, None]) * inv[None, :, None, None]
-    out = g_col * xhat + beta.data[None, :, None, None]
-
-    def bwd_eval(g):
-        gx = g * g_col * inv[None, :, None, None]
+            gx = (inv / m) * (m * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None])
+        else:
+            gx = g * g_col * inv
         ggamma = (g * xhat).sum(axis=(0, 2, 3))
         gbeta = g.sum(axis=(0, 2, 3))
         return gx.astype(x.dtype, copy=False), ggamma, gbeta
 
-    return record_op(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd_eval, "batch_norm2d")
+    return record_op(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd, "batch_norm2d")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -52,6 +52,22 @@ def conv2d_loops(x, w, b, stride, padding, groups):
     return out
 
 
+def avg_pool_loops(x, k):
+    """Scalar-loop mean over non-overlapping k x k windows."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // k, w // k))
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(h // k):
+                for ox in range(w // k):
+                    acc = 0.0
+                    for u in range(k):
+                        for v in range(k):
+                            acc += x[ni, ci, oy * k + u, ox * k + v]
+                    out[ni, ci, oy, ox] = acc / (k * k)
+    return out
+
+
 def bilinear_pixel_oracle(x, oh, ow, align_corners):
     """Scalar per-pixel interpolation: four taps per output pixel."""
     h, w = x.shape

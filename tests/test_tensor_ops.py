@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import bilinear_pixel_oracle, conv2d_loops, int_valued
+from oracles import avg_pool_loops, bilinear_pixel_oracle, conv2d_loops, int_valued, make_init
 
 from incepformer import tensor as T
 from incepformer.errors import ConfigError, ContractError, NumericsError, ShapeError
+from incepformer.modules import Conv2d
 from incepformer.tensor import Tensor
 
 
@@ -86,6 +87,14 @@ class TestConv2d:
         w = t64(np.zeros((4, 1, 1, 1)))
         with pytest.raises(ConfigError):
             T.conv2d(x, w, groups=2)
+        # Groups that divide the channels but are neither dense nor depthwise.
+        for cin, cout, groups in ((4, 4, 2), (3, 6, 3)):
+            x = t64(np.zeros((1, cin, 4, 4)))
+            w = t64(np.zeros((cout, cin // groups, 1, 1)))
+            with pytest.raises(ConfigError):
+                T.conv2d(x, w, groups=groups)
+            with pytest.raises(ConfigError):
+                Conv2d(cin, cout, 1, groups=groups, init=make_init())
 
     def test_kernel_too_large(self):
         x = t64(np.zeros((1, 1, 3, 3)))
@@ -143,20 +152,31 @@ class TestDepthwiseBlocking:
 class TestAvgPool:
     def test_identity(self):
         x = t64(np.random.default_rng(0).standard_normal((1, 2, 3, 3)))
-        np.testing.assert_array_equal(T.avg_pool2d(x, 1, 1).data, x.data)
+        np.testing.assert_array_equal(T.avg_pool2d(x, 1).data, x.data)
 
     def test_hand_mean(self):
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert T.avg_pool2d(x, 2, 2).data[0, 0, 0, 0] == 2.5
+        assert T.avg_pool2d(x, 2).data[0, 0, 0, 0] == 2.5
 
     def test_constant(self):
         x = t64(np.full((1, 1, 6, 6), 3.25))
-        out = T.avg_pool2d(x, 3, 3)
+        out = T.avg_pool2d(x, 3)
         assert (out.data == 3.25).all()
+
+    # The model's reduction ratios R.
+    @pytest.mark.parametrize("r", [2, 4, 8])
+    def test_matches_loop_oracle_bitwise(self, r):
+        x = int_valued(np.random.default_rng(r), (2, 3, 2 * r, 3 * r))
+        got = T.avg_pool2d(t64(x), r)
+        assert got.data.tobytes() == avg_pool_loops(x, r).tobytes()
+
+    def test_input_not_a_multiple_of_kernel(self):
+        with pytest.raises(ShapeError):
+            T.avg_pool2d(t64(np.zeros((1, 1, 6, 8))), 4)
 
     def test_kernel_exceeds_input(self):
         with pytest.raises(ShapeError):
-            T.avg_pool2d(t64(np.zeros((1, 1, 2, 2))), 3, 1)
+            T.avg_pool2d(t64(np.zeros((1, 1, 2, 2))), 3)
 
 
 class TestBatchNorm:
@@ -191,6 +211,35 @@ class TestBatchNorm:
         T.batch_norm2d(x, g, b, rm, rv, mode="train", momentum=0.5, eps=1e-5)
         assert rm[0] == pytest.approx(1.5)  # 0.5*0 + 0.5*3
         assert rv[0] == pytest.approx(1.0)  # 0.5*1 + 0.5*1 (biased var of {2,4})
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equals_direct_expression(self, mode, dtype):
+        rng = np.random.default_rng(11)
+        x, g, b = (rng.standard_normal(s).astype(dtype) for s in ((2, 3, 4, 5), (3,), (3,)))
+        rm, rv = rng.standard_normal(3).astype(dtype), rng.uniform(0.5, 2.0, 3).astype(dtype)
+        upstream = rng.standard_normal(x.shape).astype(dtype)
+        xt, gt, bt = (T.parameter(a) for a in (x, g, b))
+        with T.GradTape() as tape:
+            out = T.batch_norm2d(xt, gt, bt, rm.copy(), rv.copy(), mode=mode, eps=1e-5)
+            loss = T.tsum(T.mul(out, Tensor(upstream)))
+        T.backward(loss, tape)
+
+        col = lambda v: v[None, :, None, None]
+        m = x.size // 3
+        mu, var = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if mode == "train" else (rm, rv)
+        inv = col(1.0 / np.sqrt(var + 1e-5))
+        xhat = (x - col(mu)) * inv
+        dxhat = upstream * col(g)
+        if mode == "train":
+            s1, s2 = dxhat.sum(axis=(0, 2, 3)), (dxhat * xhat).sum(axis=(0, 2, 3))
+            gx = (inv / m) * (m * dxhat - col(s1) - xhat * col(s2))
+        else:
+            gx = dxhat * inv
+        want = [col(g) * xhat + col(b), gx, (upstream * xhat).sum(axis=(0, 2, 3)),
+                upstream.sum(axis=(0, 2, 3))]
+        for got, exp in zip([out.data, xt.grad, gt.grad, bt.grad], want):
+            assert got.dtype == dtype and got.tobytes() == exp.tobytes()
 
     def test_zero_variance_outputs_bias(self):
         x = t64(np.full((1, 1, 1, 3), 7.0))
