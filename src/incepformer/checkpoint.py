@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,28 +30,44 @@ MAGIC = b"IPTCKPT1"
 MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
 
 
-def save_checkpoint(path: str, tensors: dict[str, np.ndarray], iteration: int):
-    """Write `tensors` to `path` atomically: a save that fails partway leaves
-    any previous file at `path` untouched and no temporary file behind."""
+@contextmanager
+def atomic_write(path: str, mode: str = "wb", **open_kw):
+    """Open a temporary file beside `path` for writing.  A clean exit moves
+    it onto `path` with os.replace; an exception deletes it, so `path` keeps
+    its previous content and no temporary file is left behind.
+
+    An existing `path` that is not a regular file (a device such as
+    /dev/stdout, or a FIFO) is written in place: renaming over it would
+    replace the device node instead of writing to it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **open_kw) as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(tensors)))
-            for name, arr in tensors.items():
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", arr.ndim))
-                for d in arr.shape:
-                    fh.write(struct.pack("<I", d))
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-            fh.write(struct.pack("<Q", int(iteration)))
+        with open(tmp, mode, **open_kw) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path: str, tensors: dict[str, np.ndarray], iteration: int):
+    """Write `tensors` to `path` atomically (see `atomic_write`)."""
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(tensors)))
+        for name, arr in tensors.items():
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<B", arr.ndim))
+            for d in arr.shape:
+                fh.write(struct.pack("<I", d))
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(struct.pack("<Q", int(iteration)))
 
 
 def _read(fh, n: int) -> bytes:

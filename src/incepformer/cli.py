@@ -14,6 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import count_params, emit_report, estimate_flops
+from .checkpoint import atomic_write
 from .config import PRESETS, load_model_config
 from .data import class_colors, make_synth_dataset
 from .errors import CheckpointError, ConfigError, ContractError, IncepFormerError
@@ -100,7 +101,7 @@ def _cmd_analyze(args) -> int:
         report = estimate_flops(cfg, h, w)
     payload = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "wb") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(payload)
     else:
         sys.stdout.buffer.write(payload)
@@ -156,7 +157,7 @@ def _cmd_train(args) -> int:
     train(cfg, tcfg, dataset, dtype=args.dtype,
           checkpoint_path=args.checkpoint, resume_from=args.resume, log=log)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             fh.write("iter,lr,loss\n")
             fh.write("\n".join(lines) + "\n")
     return 0

@@ -17,6 +17,9 @@ PATCH_MODES = ("nonoverlap", "overlap")
 # The most classes a config may declare: far above ADE20K's 150, and small
 # enough that the per-class palette and score planes stay cheap.
 MAX_NUM_CLASSES = 1 << 16
+# The most blocks one stage may have: far above the paper's deepest stage
+# (24, ipt-b stage 3), and checked before any block is built or counted.
+MAX_DEPTH = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -32,8 +35,8 @@ class StageConfig:
     def validate(self, name: str = "stage"):
         if self.channels < 1:
             raise ConfigError(f"{name}.channels must be positive, got {self.channels}")
-        if self.depth < 1:
-            raise ConfigError(f"{name}.depth must be >= 1, got {self.depth}")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"{name}.depth must be in [1, {MAX_DEPTH}], got {self.depth}")
         if self.reduction < 1:
             raise ConfigError(f"{name}.reduction must be >= 1, got {self.reduction}")
         if self.heads < 1:

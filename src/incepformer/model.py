@@ -24,7 +24,6 @@ class PatchEmbed(Module):
     """Strided projection between stages (x4 into stage 1, x2 afterwards)."""
 
     def __init__(self, stage_index: int, cin: int, cout: int, mode: str, init: InitCtx, eps: float):
-        super().__init__()
         first = stage_index == 1
         if mode == "nonoverlap":
             k, s, p = (4, 4, 0) if first else (2, 2, 0)
@@ -56,7 +55,6 @@ class IncepReduce(Module):
     """
 
     def __init__(self, channels: int, reduction: int, init: InitCtx, eps: float, bypass: bool = False):
-        super().__init__()
         if reduction < 1:
             raise ConfigError(f"reduction must be >= 1, got {reduction}")
         self.reduction = reduction
@@ -98,24 +96,18 @@ class IncepMHSA(Module):
 
     def __init__(self, channels: int, heads: int, reduction: int, init: InitCtx,
                  eps: float, bypass_r1: bool = False):
-        super().__init__()
         if channels % heads:
             raise ConfigError(f"channels ({channels}) not divisible by heads ({heads})")
         self.heads = heads
         self.head_dim = channels // heads
-        self.channels = channels
         self.reduce = IncepReduce(channels, reduction, init, eps,
                                   bypass=bypass_r1 and reduction == 1)
-        bias = init.with_bias
         self.wq = init.linear_weight(channels, channels)
         self.wk = init.linear_weight(channels, channels)
         self.wv = init.linear_weight(channels, channels)
         self.wo = init.linear_weight(channels, channels)
         for nm in ("bq", "bk", "bv", "bo"):
-            if bias:
-                setattr(self, nm, init.zeros(channels))
-            else:
-                object.__setattr__(self, nm, None)
+            setattr(self, nm, init.zeros(channels) if init.with_bias else None)
 
     def attend(self, q_tokens: Tensor, kv_tokens: Tensor) -> Tensor:
         """Scaled dot-product attention from query tokens onto key/value
@@ -153,7 +145,6 @@ class EFFN(Module):
     BN -> 1x1 conv (C -> ratio*C) -> 3x3 depthwise -> GELU -> 1x1 conv -> + input."""
 
     def __init__(self, channels: int, ratio: int, init: InitCtx, eps: float):
-        super().__init__()
         hidden = channels * ratio
         self.bn = BatchNorm2d(channels, init, eps=eps)
         self.fc1 = Conv2d(channels, hidden, 1, init=init)
@@ -172,7 +163,6 @@ class IPTBlock(Module):
 
     def __init__(self, channels: int, heads: int, reduction: int, ratio: int,
                  init: InitCtx, eps: float, bypass_r1: bool = False):
-        super().__init__()
         self.bn1 = BatchNorm2d(channels, init, eps=eps)
         self.attn = IncepMHSA(channels, heads, reduction, init, eps, bypass_r1)
         self.ffn = EFFN(channels, ratio, init, eps)
@@ -185,7 +175,6 @@ class IPTBlock(Module):
 
 class Stage(Module):
     def __init__(self, index: int, cin: int, cfg: ModelConfig, init: InitCtx):
-        super().__init__()
         sc = cfg.stages[index - 1]
         self.patch = PatchEmbed(index, cin, sc.channels, cfg.patch_mode, init, cfg.norm_eps)
         self.depth = sc.depth
@@ -221,7 +210,6 @@ class Decoder(Module):
     channels, then two 1x1 convolutions down to class logits."""
 
     def __init__(self, cfg: ModelConfig, init: InitCtx):
-        super().__init__()
         self.fuse = Conv2d(cfg.concat_channels, cfg.decoder_channels, 1, init=init)
         self.classify = Conv2d(cfg.decoder_channels, cfg.num_classes, 1, init=init)
 
@@ -245,7 +233,6 @@ class IncepFormer(Module):
     """Four-stage pyramid encoder plus the upsample-concat decoder."""
 
     def __init__(self, cfg: ModelConfig, init: InitCtx):
-        super().__init__()
         cfg.validate()
         self.cfg = cfg
         cin = 3
@@ -287,4 +274,4 @@ def freeze_batchnorm_stats(model: Module):
     """
     for m in model.modules():
         if isinstance(m, BatchNorm2d):
-            object.__setattr__(m, "track_running", False)
+            m.track_running = False

@@ -1,8 +1,9 @@
-"""Minimal layer system: parameter registration, naming and common layers.
+"""Minimal layer system: parameter naming and common layers.
 
-Modules register parameters (requires_grad Tensors), buffers (plain numpy
-arrays such as BatchNorm running statistics) and child modules in attribute
-insertion order, which fixes the enumeration order of the ParameterStore.
+A module's attributes are its registry.  Walking them in first-assignment
+order finds its parameters (requires_grad Tensors), buffers (any numpy array
+attribute, such as BatchNorm running statistics; every one is checkpointed)
+and child modules; that order is the ParameterStore and checkpoint order.
 Names are slash-delimited paths, e.g. "stage1/block0/attn/wq".
 """
 
@@ -61,38 +62,26 @@ class InitCtx:
 
 
 class Module:
-    """Base class tracking parameters/buffers/children in insertion order."""
+    """Base layer whose attributes are its registry, walked in
+    first-assignment order: a requires_grad Tensor is a parameter, a numpy
+    array is a checkpointed buffer, a Module is a child; anything else is
+    plain state."""
 
-    def __init__(self):
-        object.__setattr__(self, "_entries", [])  # (kind, name) in insertion order
-        object.__setattr__(self, "_buffers", {})
-        object.__setattr__(self, "training", True)
-
-    def __setattr__(self, name, value):
-        if isinstance(value, Tensor) and value.requires_grad:
-            self._entries.append(("param", name))
-        elif isinstance(value, Module):
-            self._entries.append(("child", name))
-        object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, value: np.ndarray):
-        self._buffers[name] = value
-        self._entries.append(("buffer", name))
-        object.__setattr__(self, name, value)
+    training = True
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for kind, name in self._entries:
-            if kind == "param":
-                yield prefix + name, getattr(self, name)
-            elif kind == "child":
-                yield from getattr(self, name).named_parameters(prefix + name + "/")
+        for name, v in vars(self).items():
+            if isinstance(v, Tensor) and v.requires_grad:
+                yield prefix + name, v
+            elif isinstance(v, Module):
+                yield from v.named_parameters(prefix + name + "/")
 
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for kind, name in self._entries:
-            if kind == "buffer":
-                yield prefix + name, self._buffers[name]
-            elif kind == "child":
-                yield from getattr(self, name).named_buffers(prefix + name + "/")
+        for name, v in vars(self).items():
+            if isinstance(v, np.ndarray):
+                yield prefix + name, v
+            elif isinstance(v, Module):
+                yield from v.named_buffers(prefix + name + "/")
 
     def parameters(self) -> Iterator[Tensor]:
         for _, p in self.named_parameters():
@@ -100,13 +89,13 @@ class Module:
 
     def modules(self) -> Iterator["Module"]:
         yield self
-        for kind, name in self._entries:
-            if kind == "child":
-                yield from getattr(self, name).modules()
+        for v in vars(self).values():
+            if isinstance(v, Module):
+                yield from v.modules()
 
     def train(self, mode: bool = True):
         for m in self.modules():
-            object.__setattr__(m, "training", mode)
+            m.training = mode
         return self
 
     def eval(self):
@@ -144,18 +133,14 @@ class ParameterStore:
 
 class Conv2d(Module):
     def __init__(self, cin: int, cout: int, kernel, stride=(1, 1), padding=(0, 0),
-                 groups: int = 1, init: InitCtx = None, bias: bool = True):
-        super().__init__()
+                 groups: int = 1, init: InitCtx = None):
         kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
         T.check_conv_groups(cin, cout, groups)
         self.stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
         self.padding = (padding, padding) if isinstance(padding, int) else tuple(padding)
         self.groups = groups
         self.weight = init.conv_weight(cout, cin // groups, kh, kw)
-        if bias and init.with_bias:
-            self.bias = init.zeros(cout)
-        else:
-            object.__setattr__(self, "bias", None)
+        self.bias = init.zeros(cout) if init.with_bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups)
@@ -164,21 +149,19 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, init: InitCtx, eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__()
+    def __init__(self, channels: int, init: InitCtx, eps: float = 1e-5):
         self.eps = eps
-        self.momentum = momentum
         self.track_running = True
         self.gamma = init.ones(channels)
         self.beta = init.zeros(channels)
-        self.register_buffer("running_mean", np.zeros(channels, dtype=init.dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=init.dtype))
+        self.running_mean = np.zeros(channels, dtype=init.dtype)
+        self.running_var = np.ones(channels, dtype=init.dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         mode = "train" if self.training else "eval"
         return T.batch_norm2d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            mode=mode, momentum=self.momentum, eps=self.eps,
+            mode=mode, eps=self.eps,
             update_running=self.track_running,
         )
 
@@ -187,7 +170,6 @@ class BatchNorm2d(Module):
 
 class LayerNorm(Module):
     def __init__(self, channels: int, init: InitCtx, eps: float = 1e-5):
-        super().__init__()
         self.eps = eps
         self.gamma = init.ones(channels)
         self.beta = init.zeros(channels)

@@ -5,25 +5,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ContractError
 
 
 def write_pgm(path: str, arr: np.ndarray):
-    """P5, maxval 255.  `arr` is [H, W] uint8."""
+    """P5, maxval 255, written atomically.  `arr` is [H, W] uint8."""
     if arr.ndim != 2:
         raise ContractError(f"PGM needs a 2-D array, got shape {arr.shape}")
     h, w = arr.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
 
 
 def write_ppm(path: str, arr: np.ndarray):
-    """P6, maxval 255.  `arr` is [H, W, 3] uint8."""
+    """P6, maxval 255, written atomically.  `arr` is [H, W, 3] uint8."""
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ContractError(f"PPM needs an [H, W, 3] array, got shape {arr.shape}")
     h, w, _ = arr.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
 

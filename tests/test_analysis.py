@@ -20,6 +20,7 @@ from incepformer.analysis import (
 from incepformer.config import ipt_b, ipt_s, ipt_t, micro
 from incepformer.errors import ConfigError, ContractError
 from incepformer.model import build_model
+from incepformer.tensor import parameter
 
 REFERENCE_PARAMS = {"ipt-t": 14.0e6, "ipt-s": 24.6e6, "ipt-b": 39.6e6}
 REFERENCE_GFLOPS = {"ipt-t": 21.2e9, "ipt-s": 38.5e9, "ipt-b": 54.6e9}
@@ -55,6 +56,26 @@ class TestParamCounting:
         closed = count_params(cfg)
         store = build_model(cfg, seed=0).parameter_store()
         assert closed.param_rows() == {name: t.size for name, t in store.items()}
+
+    @pytest.mark.parametrize("cfg", [
+        micro(),
+        ipt_t(),
+        dataclasses.replace(micro(), with_bias=False, bypass_reduce_r1=True, patch_mode="overlap"),
+    ], ids=["micro", "ipt_t", "micro-nobias-bypass-overlap"])
+    def test_store_and_buffer_order_match_closed_form(self, cfg):
+        # The enumeration order is the checkpoint byte order.
+        rows = [r.layer for r in count_params(cfg).rows]
+        model = build_model(cfg, seed=0)
+        assert model.parameter_store().names() == rows
+        bn = [n[: -len("gamma")] for n in rows if n.endswith("/gamma") and not n.endswith("ln/gamma")]
+        assert [n for n, _ in model.named_buffers()] == [
+            p + s for p in bn for s in ("running_mean", "running_var")]
+        # Reassigning a parameter attribute replaces it in its first position.
+        proj = model.stage1.patch.proj
+        proj.weight = parameter(proj.weight.data.copy())
+        store = model.parameter_store()
+        assert store.names() == rows
+        assert store["stage1/patch/proj/weight"] is proj.weight
 
     def test_bypass_r1_reduces_flops(self):
         base = estimate_flops(micro(), 64, 64)

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from incepformer.analysis import count_params, estimate_flops
 from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from incepformer.cli import run_cli
 from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro
-from incepformer.netpbm import read_image, write_ppm
+from incepformer.netpbm import read_image, write_pgm, write_ppm
 
 TINY_CONFIG = {
     "name": "tiny",
@@ -44,7 +45,8 @@ ANALYZE = ["analyze", "--model", "{path}"]
 EVAL = ["eval", "--model", "micro", "--crop", "64x64", "--checkpoint", "{path}"]
 TRAIN = ["train", "--model", "{path}", "--iters", "1", "--crop", "64x64"]
 
-# Each of these once escaped run_cli as a raw Python exception.
+# Each of these once escaped run_cli as a raw Python exception, or (the
+# huge depths) built or counted blocks for minutes before failing.
 HOSTILE_INPUTS = {
     "pgm-dims-not-integers": (INFER, b"P5\nabc 32\n255\n" + bytes(1024), 1),
     "pgm-maxval-not-integer": (INFER, b"P5\n32 32\nzz\n" + bytes(1024), 1),
@@ -59,6 +61,8 @@ HOSTILE_INPUTS = {
     "config-channels-huge": (TRAIN, config_text("1e18", "channels", stage=0), 3),
     "config-decoder-huge": (TRAIN, config_text("1e12", "decoder_channels"), 3),
     "config-num-classes-huge": (TRAIN, config_text("1e12", "num_classes"), 3),
+    "config-depth-huge-train": (TRAIN, config_text("1e9", "depth", stage=0), 3),
+    "config-depth-huge-analyze": (ANALYZE, config_text("1e9", "depth", stage=0), 3),
     "checkpoint-name-not-utf8": (EVAL, checkpoint_bytes(b"\xff\xfe", [1]), 1),
     "checkpoint-rank-too-high": (EVAL, checkpoint_bytes(b"w", [1] * 70), 1),
 }
@@ -217,6 +221,31 @@ class TestInferCommand:
         write_ppm(str(src), np.zeros((50, 50, 3), dtype=np.uint8))
         assert run_cli(["infer", str(src), "--model", "micro",
                         "--out", str(tmp_path / "m.pgm")]) == 3
+
+    @pytest.mark.parametrize("writer,shape", [(write_pgm, (1, 2)), (write_ppm, (1, 2, 3))])
+    def test_failed_write_keeps_previous_file(self, tmp_path, writer, shape):
+        path = tmp_path / "mask.pnm"
+        writer(str(path), np.zeros(shape, dtype=np.uint8))
+        before = path.read_bytes()
+        # None cannot become uint8, so the write fails after the header.
+        bad = np.ones(shape, dtype=object)
+        bad.flat[0] = None
+        with pytest.raises(TypeError):
+            writer(str(path), bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["mask.pnm"]
+
+    def test_non_regular_output_written_in_place(self, tmp_path):
+        # Like /dev/stdout: the FIFO must receive the bytes, not be renamed over.
+        fifo = tmp_path / "mask.pgm"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)  # lets the writer open without blocking
+        try:
+            write_pgm(str(fifo), np.zeros((1, 2), dtype=np.uint8))
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+            assert os.read(reader, 64) == b"P5\n2 1\n255\n\0\0"
+        finally:
+            os.close(reader)
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ from oracles import attention_loop_oracle, make_init
 
 from incepformer import tensor as T
 from incepformer.config import (
+    MAX_DEPTH,
     MAX_NUM_CLASSES,
     StageConfig,
     dumps,
@@ -69,6 +70,14 @@ class TestConfig:
         assert from_dict(doc).num_classes == MAX_NUM_CLASSES
         doc["num_classes"] = MAX_NUM_CLASSES + 1
         with pytest.raises(ConfigError, match="num_classes"):
+            from_dict(doc)
+
+    def test_depth_bounded(self):
+        doc = to_dict(micro())
+        doc["stages"][2]["depth"] = MAX_DEPTH
+        assert from_dict(doc).stages[2].depth == MAX_DEPTH == 1024
+        doc["stages"][2]["depth"] = MAX_DEPTH + 1
+        with pytest.raises(ConfigError, match=r"stages\[3\]\.depth"):
             from_dict(doc)
 
     def test_round_trip(self):

@@ -7,7 +7,8 @@ Prints one line per fingerprint:
 * ``train()`` at batch 2, seed 3, 64x64 crops with the default scale/flip
   augmentation: the loss of every iteration as ``float.hex``, then the
   SHA-256 of the final checkpoint.  Runs micro f32 x6, micro f64 x3,
-  micro with overlapping patch embeds f32 x4 and ipt-t f32 x2 iterations.
+  micro with overlapping patch embeds f32 x4, micro without biases and with
+  the R=1 reduction bypassed f32 x3, and ipt-t f32 x2 iterations.
 * the SHA-256 of the ipt-t 512x512 eval-mode logits of one image.
 
 To compare two source trees, run it against each and compare the outputs:
@@ -36,6 +37,8 @@ RUNS = (
     ("micro-f32", micro(), "f32", 6),
     ("micro-f64", micro(), "f64", 3),
     ("micro-overlap-f32", dataclasses.replace(micro(), patch_mode="overlap"), "f32", 4),
+    ("micro-nobias-bypass-f32", dataclasses.replace(micro(), with_bias=False, bypass_reduce_r1=True),
+     "f32", 3),
     ("ipt-t-f32", ipt_t(), "f32", 2),
 )
 
