@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from contextlib import contextmanager
 
@@ -31,22 +32,26 @@ MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
 
 
 @contextmanager
-def atomic_write(path: str, mode: str = "wb", **open_kw):
-    """Open a temporary file beside `path` for writing.  A clean exit moves
-    it onto `path` with os.replace; an exception deletes it, so `path` keeps
-    its previous content and no temporary file is left behind.
+def atomic_write(path: str):
+    """Open a temporary file beside `path` for binary writing.  A clean exit
+    gives it the permission bits of any previous `path` and moves it onto
+    `path` with os.replace; an exception deletes it, so `path` keeps its
+    previous content and no temporary file is left behind.
 
-    An existing `path` that is not a regular file (a device such as
-    /dev/stdout, or a FIFO) is written in place: renaming over it would
-    replace the device node instead of writing to it."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, mode, **open_kw) as fh:
+    An existing `path` that is not itself a regular file is written in
+    place: a symlink (such as /dev/stdout) is written through to its target
+    and stays a link, and a device or FIFO receives the bytes instead of
+    being renamed over."""
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "wb") as fh:
             yield fh
         return
     tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
     try:
-        with open(tmp, mode, **open_kw) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

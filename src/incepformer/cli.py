@@ -157,9 +157,8 @@ def _cmd_train(args) -> int:
     train(cfg, tcfg, dataset, dtype=args.dtype,
           checkpoint_path=args.checkpoint, resume_from=args.resume, log=log)
     if args.out:
-        with atomic_write(args.out, "w", encoding="utf-8") as fh:
-            fh.write("iter,lr,loss\n")
-            fh.write("\n".join(lines) + "\n")
+        with atomic_write(args.out) as fh:
+            fh.write(("iter,lr,loss\n" + "\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 

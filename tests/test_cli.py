@@ -246,6 +246,22 @@ class TestInferCommand:
             assert os.read(reader, 64) == b"P5\n2 1\n255\n\0\0"
         finally:
             os.close(reader)
+        # Like a redirected /dev/stdout: the link stays a link, its target gets the bytes.
+        target = tmp_path / "target.pgm"
+        target.write_bytes(b"old")
+        link = tmp_path / "latest.pgm"
+        link.symlink_to(target)
+        write_pgm(str(link), np.zeros((1, 2), dtype=np.uint8))
+        assert link.is_symlink()
+        assert target.read_bytes() == b"P5\n2 1\n255\n\0\0"
+
+    def test_rewrite_keeps_permission_bits(self, tmp_path):
+        path = tmp_path / "mask.pgm"
+        write_pgm(str(path), np.zeros((1, 2), dtype=np.uint8))
+        os.chmod(path, 0o640)
+        write_pgm(str(path), np.ones((1, 2), dtype=np.uint8))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert path.read_bytes() == b"P5\n2 1\n255\n\1\1"
 
 
 class TestExitCodes:
