@@ -3,6 +3,9 @@
 Parameter rows carry the exact slash-delimited names of the model's
 learnable tensors, computed from the config alone, so enumeration of a
 built model can be compared row by row (the two routes are independent).
+One walk over the stage/block tree states each layer's geometry once and
+emits both its parameter rows and its MAC rows; a report lists every
+parameter row first, then every MAC row.
 
 FLOPs count one multiply-accumulate per MAC.  Rows are categorized:
 
@@ -90,61 +93,33 @@ def matmul_macs(m: int, k: int, p: int, batch: int = 1) -> int:
 
 
 class _Walk:
-    """Accumulates rows while walking the model structure defined by a config."""
+    """One walk of the model structure a config defines: each layer writes
+    its parameter rows to `params` and its MAC rows to `flops`."""
 
     def __init__(self, cfg: ModelConfig):
         cfg.validate()
         self.cfg = cfg
-        self.rows: list[CostRow] = []
+        self.params: list[CostRow] = []
+        self.flops: list[CostRow] = []
 
     def param(self, layer: str, count: int):
-        self.rows.append(CostRow(layer, int(count), 0, CAT_PARAMS))
+        self.params.append(CostRow(layer, int(count), 0, CAT_PARAMS))
 
-    def flops(self, layer: str, count: int, category: str):
-        self.rows.append(CostRow(layer, 0, int(count), category))
+    def op(self, layer: str, count: int, category: str):
+        self.flops.append(CostRow(layer, 0, int(count), category))
 
-    def conv_params(self, path: str, cout: int, cin_g: int, kh: int, kw: int):
-        self.param(f"{path}/weight", cout * cin_g * kh * kw)
+    def conv(self, path: str, cin: int, cout: int, kh: int, kw: int, groups: int, ho: int, wo: int):
+        self.param(f"{path}/weight", cout * (cin // groups) * kh * kw)
         if self.cfg.with_bias:
             self.param(f"{path}/bias", cout)
+        self.op(f"{path}@conv", conv_macs(kh, kw, cin, cout, groups, ho, wo), CAT_LINEAR)
 
-    def norm_params(self, path: str, c: int):
+    def norm(self, path: str, c: int, tag: str, values: int):
         self.param(f"{path}/gamma", c)
         self.param(f"{path}/beta", c)
+        self.op(f"{path}@{tag}", values, CAT_ELEMENTWISE)
 
-    def walk_params(self):
-        cfg = self.cfg
-        cin = 3
-        for i, sc in enumerate(cfg.stages, start=1):
-            c, r = sc.channels, sc.reduction
-            k, _ = _patch_geometry(i, cfg.patch_mode)
-            pre = f"stage{i}"
-            self.conv_params(f"{pre}/patch/proj", c, cin, k, k)
-            self.norm_params(f"{pre}/patch/norm", c)
-            for j in range(sc.depth):
-                b = f"{pre}/block{j}"
-                self.norm_params(f"{b}/bn1", c)
-                if not (cfg.bypass_reduce_r1 and r == 1):
-                    self.conv_params(f"{b}/attn/reduce/dw_1xr", c, 1, 1, r)
-                    self.conv_params(f"{b}/attn/reduce/dw_rx1", c, 1, r, 1)
-                    self.conv_params(f"{b}/attn/reduce/dw_3x3_b2", c, 1, 3, 3)
-                    self.conv_params(f"{b}/attn/reduce/dw_3x3_b3", c, 1, 3, 3)
-                self.norm_params(f"{b}/attn/reduce/ln", c)
-                for nm in ("wq", "wk", "wv", "wo"):
-                    self.param(f"{b}/attn/{nm}", c * c)
-                if cfg.with_bias:
-                    for nm in ("bq", "bk", "bv", "bo"):
-                        self.param(f"{b}/attn/{nm}", c)
-                hidden = c * sc.ffn_ratio
-                self.norm_params(f"{b}/ffn/bn", c)
-                self.conv_params(f"{b}/ffn/fc1", hidden, c, 1, 1)
-                self.conv_params(f"{b}/ffn/dw", hidden, 1, 3, 3)
-                self.conv_params(f"{b}/ffn/fc2", c, hidden, 1, 1)
-            cin = c
-        self.conv_params("decoder/fuse", cfg.decoder_channels, cfg.concat_channels, 1, 1)
-        self.conv_params("decoder/classify", cfg.num_classes, cfg.decoder_channels, 1, 1)
-
-    def walk_flops(self, h: int, w: int):
+    def walk(self, h: int, w: int):
         cfg = self.cfg
         cin = 3
         sh, sw = h, w
@@ -155,71 +130,75 @@ class _Walk:
             sh, sw = sh // s, sw // s
             stage_hw.append((sh, sw))
             pre = f"stage{i}"
-            self.flops(f"{pre}/patch/proj@conv", conv_macs(k, k, cin, c, 1, sh, sw), CAT_LINEAR)
-            self.flops(f"{pre}/patch/norm@bn", sh * sw * c, CAT_ELEMENTWISE)
             length = sh * sw
+            self.conv(f"{pre}/patch/proj", cin, c, k, k, 1, sh, sw)
+            self.norm(f"{pre}/patch/norm", c, "bn", length * c)
             ch, cw = -(-sh // r), -(-sw // r)
             bypass = cfg.bypass_reduce_r1 and r == 1
             l_kv = length if bypass else 3 * ch * cw
+            hidden = c * sc.ffn_ratio
+            dk = c // sc.heads
             for j in range(sc.depth):
                 b = f"{pre}/block{j}"
-                self.flops(f"{b}/bn1@bn", length * c, CAT_ELEMENTWISE)
+                self.norm(f"{b}/bn1", c, "bn", length * c)
+                red = f"{b}/attn/reduce"
                 if not bypass:
-                    self.flops(f"{b}/attn/reduce/dw_1xr@conv", conv_macs(1, r, c, c, c, sh, cw), CAT_LINEAR)
-                    self.flops(f"{b}/attn/reduce/dw_rx1@conv", conv_macs(r, 1, c, c, c, ch, cw), CAT_LINEAR)
-                    self.flops(f"{b}/attn/reduce/dw_3x3_b2@conv", conv_macs(3, 3, c, c, c, ch, cw), CAT_LINEAR)
-                    self.flops(f"{b}/attn/reduce/pool@avg", r * r * c * ch * cw, CAT_ELEMENTWISE)
-                    self.flops(f"{b}/attn/reduce/dw_3x3_b3@conv", conv_macs(3, 3, c, c, c, ch, cw), CAT_LINEAR)
-                self.flops(f"{b}/attn/reduce/ln@ln", l_kv * c, CAT_ELEMENTWISE)
-                self.flops(f"{b}/attn/q@proj", matmul_macs(length, c, c), CAT_LINEAR)
-                self.flops(f"{b}/attn/k@proj", matmul_macs(l_kv, c, c), CAT_LINEAR)
-                self.flops(f"{b}/attn/v@proj", matmul_macs(l_kv, c, c), CAT_LINEAR)
-                dk = c // sc.heads
-                self.flops(f"{b}/attn/qk@matmul", matmul_macs(length, dk, l_kv, sc.heads), CAT_ATTENTION)
-                self.flops(f"{b}/attn/softmax@softmax", sc.heads * length * l_kv, CAT_ATTENTION)
-                self.flops(f"{b}/attn/av@matmul", matmul_macs(length, l_kv, dk, sc.heads), CAT_ATTENTION)
-                self.flops(f"{b}/attn/out@proj", matmul_macs(length, c, c), CAT_LINEAR)
-                self.flops(f"{b}/res1@add", length * c, CAT_ELEMENTWISE)
-                hidden = c * sc.ffn_ratio
-                self.flops(f"{b}/ffn/bn@bn", length * c, CAT_ELEMENTWISE)
-                self.flops(f"{b}/ffn/fc1@conv", conv_macs(1, 1, c, hidden, 1, sh, sw), CAT_LINEAR)
-                self.flops(f"{b}/ffn/dw@conv", conv_macs(3, 3, hidden, hidden, hidden, sh, sw), CAT_LINEAR)
-                self.flops(f"{b}/ffn/gelu@act", hidden * length, CAT_ELEMENTWISE)
-                self.flops(f"{b}/ffn/fc2@conv", conv_macs(1, 1, hidden, c, 1, sh, sw), CAT_LINEAR)
-                self.flops(f"{b}/res2@add", length * c, CAT_ELEMENTWISE)
+                    self.conv(f"{red}/dw_1xr", c, c, 1, r, c, sh, cw)
+                    self.conv(f"{red}/dw_rx1", c, c, r, 1, c, ch, cw)
+                    self.conv(f"{red}/dw_3x3_b2", c, c, 3, 3, c, ch, cw)
+                    self.op(f"{red}/pool@avg", r * r * c * ch * cw, CAT_ELEMENTWISE)
+                    self.conv(f"{red}/dw_3x3_b3", c, c, 3, 3, c, ch, cw)
+                self.norm(f"{red}/ln", c, "ln", l_kv * c)
+                for nm in ("wq", "wk", "wv", "wo"):
+                    self.param(f"{b}/attn/{nm}", c * c)
+                if cfg.with_bias:
+                    for nm in ("bq", "bk", "bv", "bo"):
+                        self.param(f"{b}/attn/{nm}", c)
+                self.op(f"{b}/attn/q@proj", matmul_macs(length, c, c), CAT_LINEAR)
+                self.op(f"{b}/attn/k@proj", matmul_macs(l_kv, c, c), CAT_LINEAR)
+                self.op(f"{b}/attn/v@proj", matmul_macs(l_kv, c, c), CAT_LINEAR)
+                self.op(f"{b}/attn/qk@matmul", matmul_macs(length, dk, l_kv, sc.heads), CAT_ATTENTION)
+                self.op(f"{b}/attn/softmax@softmax", sc.heads * length * l_kv, CAT_ATTENTION)
+                self.op(f"{b}/attn/av@matmul", matmul_macs(length, l_kv, dk, sc.heads), CAT_ATTENTION)
+                self.op(f"{b}/attn/out@proj", matmul_macs(length, c, c), CAT_LINEAR)
+                self.op(f"{b}/res1@add", length * c, CAT_ELEMENTWISE)
+                self.norm(f"{b}/ffn/bn", c, "bn", length * c)
+                self.conv(f"{b}/ffn/fc1", c, hidden, 1, 1, 1, sh, sw)
+                self.conv(f"{b}/ffn/dw", hidden, hidden, 3, 3, hidden, sh, sw)
+                self.op(f"{b}/ffn/gelu@act", hidden * length, CAT_ELEMENTWISE)
+                self.conv(f"{b}/ffn/fc2", hidden, c, 1, 1, 1, sh, sw)
+                self.op(f"{b}/res2@add", length * c, CAT_ELEMENTWISE)
             cin = c
         h4, w4 = stage_hw[0]
         for i, sc in enumerate(cfg.stages, start=1):
-            self.flops(f"decoder/upsample_f{i}@interp", 4 * sc.channels * h4 * w4, CAT_ELEMENTWISE)
-        self.flops("decoder/fuse@conv",
-                   conv_macs(1, 1, cfg.concat_channels, cfg.decoder_channels, 1, h4, w4), CAT_LINEAR)
-        self.flops("decoder/classify@conv",
-                   conv_macs(1, 1, cfg.decoder_channels, cfg.num_classes, 1, h4, w4), CAT_LINEAR)
+            self.op(f"decoder/upsample_f{i}@interp", 4 * sc.channels * h4 * w4, CAT_ELEMENTWISE)
+        self.conv("decoder/fuse", cfg.concat_channels, cfg.decoder_channels, 1, 1, 1, h4, w4)
+        self.conv("decoder/classify", cfg.decoder_channels, cfg.num_classes, 1, 1, 1, h4, w4)
 
 
 def count_params(cfg: ModelConfig) -> CostReport:
-    """Closed-form per-tensor parameter counts (no model is built)."""
+    """Closed-form per-tensor parameter counts (no model is built).  The
+    parameter rows do not depend on the input size, so the walk runs at
+    32x32, the smallest valid input."""
     walk = _Walk(cfg)
-    walk.walk_params()
-    meta = {"model": cfg.name, "kind": "params"}
-    return CostReport(rows=walk.rows, meta=meta)
+    walk.walk(32, 32)
+    return CostReport(rows=walk.params, meta={"model": cfg.name, "kind": "params"})
 
 
 def estimate_flops(cfg: ModelConfig, h: int, w: int) -> CostReport:
     """Parameter and MAC rows at input size h x w (one count per
-    multiply-accumulate)."""
+    multiply-accumulate): every parameter row first, then every MAC row."""
     if h % 32 or w % 32:
         raise ConfigError(f"input dims must be divisible by 32, got {h}x{w}")
     walk = _Walk(cfg)
-    walk.walk_params()
-    walk.walk_flops(h, w)
+    walk.walk(h, w)
     meta = {
         "model": cfg.name,
         "kind": "params+flops",
         "input": f"{h}x{w}",
         "flop_convention": "macs x1; hook_profiler total excludes the attention category",
     }
-    return CostReport(rows=walk.rows, meta=meta)
+    return CostReport(rows=walk.params + walk.flops, meta=meta)
 
 
 @dataclass

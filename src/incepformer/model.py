@@ -48,10 +48,11 @@ class IncepReduce(Module):
 
     Branch 1: strip convolutions 1xR then Rx1 (stride R along the strip);
     branch 2: 3x3 depthwise with stride R; branch 3: RxR average pooling
-    followed by a 3x3 depthwise.  Outputs are flattened, concatenated along
-    the token axis and LayerNormed.  Inputs whose extent is not a multiple
-    of R are zero-padded on the bottom/right so every branch yields
-    ceil(H/R) x ceil(W/R) positions.
+    followed by a 3x3 depthwise.  The branch maps are stacked along H and
+    flattened, which gives branch 1's tokens, then branch 2's, then branch
+    3's, each in row-major order; the sequence is LayerNormed.  Inputs whose
+    extent is not a multiple of R are zero-padded on the bottom/right so
+    every branch yields ceil(H/R) x ceil(W/R) positions.
     """
 
     def __init__(self, channels: int, reduction: int, init: InitCtx, eps: float, bypass: bool = False):
@@ -72,17 +73,16 @@ class IncepReduce(Module):
         r = self.reduction
         if h < r or w < r:
             raise ShapeError(f"input {h}x{w} smaller than reduction ratio {r}")
-        if self.bypass:
-            return self.ln(T.img2seq(x))
-        ch, cw = -(-h // r), -(-w // r)
-        xpad = x
-        if ch * r != h or cw * r != w:
-            xpad = T.pad2d(x, (0, ch * r - h, 0, cw * r - w))
-        b1 = self.dw_rx1(self.dw_1xr(xpad))
-        b2 = self.dw_3x3_b2(x)
-        b3 = self.dw_3x3_b3(T.avg_pool2d(xpad, r))
-        o = T.concat([T.img2seq(b1), T.img2seq(b2), T.img2seq(b3)], axis=1)
-        return self.ln(o)
+        if not self.bypass:
+            ch, cw = -(-h // r), -(-w // r)
+            xpad = x
+            if ch * r != h or cw * r != w:
+                xpad = T.pad2d(x, (0, ch * r - h, 0, cw * r - w))
+            b1 = self.dw_rx1(self.dw_1xr(xpad))
+            b2 = self.dw_3x3_b2(x)
+            b3 = self.dw_3x3_b3(T.avg_pool2d(xpad, r))
+            x = T.concat([b1, b2, b3], axis=2)
+        return self.ln(T.img2seq(x))
 
     __call__ = forward
 

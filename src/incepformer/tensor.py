@@ -698,9 +698,7 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
 def _safe_inv_sqrt(var: np.ndarray, eps: float) -> np.ndarray:
     # Zero-variance convention: normalized value is 0, output is the bias.
     denom = np.sqrt(var + eps)
-    with np.errstate(divide="ignore"):
-        inv = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
-    return inv
+    return np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 def batch_norm2d(

@@ -8,6 +8,7 @@ import pytest
 
 from incepformer.analysis import (
     CAT_ATTENTION,
+    CAT_PARAMS,
     CostReport,
     compare_decoder_channels,
     conv_macs,
@@ -17,7 +18,7 @@ from incepformer.analysis import (
     estimate_flops,
     matmul_macs,
 )
-from incepformer.config import ipt_b, ipt_s, ipt_t, micro
+from incepformer.config import StageConfig, ipt_b, ipt_s, ipt_t, micro
 from incepformer.errors import ConfigError, ContractError
 from incepformer.model import build_model
 from incepformer.tensor import parameter
@@ -163,6 +164,20 @@ class TestFlops:
     def test_indivisible_input_rejected(self):
         with pytest.raises(ConfigError):
             estimate_flops(ipt_t(), 100, 100)
+
+    @pytest.mark.parametrize("cfg", [
+        ipt_t(),
+        dataclasses.replace(micro(), with_bias=False, bypass_reduce_r1=True, patch_mode="overlap"),
+        dataclasses.replace(micro(), stages=tuple(
+            StageConfig(channels=6, depth=2, reduction=r, heads=2, ffn_ratio=3) for r in (5, 3, 3, 1))),
+    ], ids=["ipt_t", "micro-nobias-bypass-overlap", "odd-reduction"])
+    @pytest.mark.parametrize("hw", [(32, 32), (64, 96), (512, 512)])
+    def test_param_rows_do_not_depend_on_input_size(self, cfg, hw):
+        params = count_params(cfg).rows
+        rows = estimate_flops(cfg, *hw).rows
+        assert rows[:len(params)] == params
+        assert all(r.category != CAT_PARAMS and r.params == 0 for r in rows[len(params):])
+        assert len({r.layer for r in rows}) == len(rows)
 
 
 class TestDecoderFacts:

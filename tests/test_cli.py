@@ -13,7 +13,7 @@ import pytest
 import incepformer
 from incepformer.analysis import count_params, estimate_flops
 from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from incepformer.cli import run_cli
+from incepformer.cli import _build_parser, run_cli
 from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro
 from incepformer.netpbm import read_image, write_pgm, write_ppm
 
@@ -113,6 +113,13 @@ class TestAnalyzeCommand:
 
 
 class TestGradcheckCommand:
+    def test_dtype_defaults_to_f64(self):
+        parser = _build_parser()
+        assert parser.parse_args(["gradcheck"]).dtype == "f64"
+        assert parser.parse_args(["gradcheck", "--dtype", "f32"]).dtype == "f32"
+        for command in ("analyze", "train", "eval"):
+            assert parser.parse_args([command]).dtype == "f32"
+
     def test_tiny_config_passes(self, tiny_config_path, capsys):
         code = run_cli(["gradcheck", "--model", tiny_config_path, "--dtype", "f64",
                         "--input", "32x32", "--seed", "0"])
@@ -152,6 +159,10 @@ class TestTrainEvalCommands:
         last = out.strip().splitlines()[-1]
         assert last.startswith("miou,")
         assert 0.0 <= float(last.split(",")[1]) <= 1.0
+
+    def test_eval_table_format_is_usage_error(self, capsys):
+        assert run_cli(["eval", "--model", "micro", "--format", "table"]) == 2
+        assert "invalid choice: 'table'" in capsys.readouterr().err
 
     def test_eval_hostile_checkpoint_exit_code(self, tmp_path, capsys):
         # Dims (2^32 - 1)^3 declared in a 28-byte file must not be allocated.

@@ -151,6 +151,46 @@ class TestIncepReduce:
         out = red(rand_t((1, 2, h, w)))
         assert out.shape[1] == 3 * math.ceil(h / r) * math.ceil(w / r)
 
+    @staticmethod
+    def _per_branch_tokens(red, x):
+        """The reduction with each branch flattened to tokens before the
+        token-axis concat."""
+        if red.bypass:
+            return red.ln(T.img2seq(x))
+        _, _, h, w = x.shape
+        r = red.reduction
+        ch, cw = -(-h // r), -(-w // r)
+        xpad = x
+        if ch * r != h or cw * r != w:
+            xpad = T.pad2d(x, (0, ch * r - h, 0, cw * r - w))
+        b1 = red.dw_rx1(red.dw_1xr(xpad))
+        b2 = red.dw_3x3_b2(x)
+        b3 = red.dw_3x3_b3(T.avg_pool2d(xpad, r))
+        return red.ln(T.concat([T.img2seq(b1), T.img2seq(b2), T.img2seq(b3)], axis=1))
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("hw,r,bypass", [((8, 8), 4, False), ((5, 7), 3, False), ((3, 5), 1, True)],
+                             ids=["8x8-r4", "5x7-r3-padded", "bypass"])
+    def test_token_order_bitwise(self, dtype, hw, r, bypass):
+        red = IncepReduce(4, r, make_init(24, dtype=dtype), eps=1e-5, bypass=bypass)
+        x = rand_t((2, 4) + hw, seed=25, dtype=dtype)
+        x.requires_grad = True
+        leaves = [("x", x)] + list(red.named_parameters())
+
+        def run(forward):
+            with GradTape() as tape:
+                out = forward()
+                proj = rand_t(out.shape, seed=26, dtype=dtype)
+                loss = T.tsum(T.mul(out, proj))
+            backward(loss, tape)
+            return out.data.copy(), [t.grad.copy() for _, t in leaves]
+
+        want, want_grads = run(lambda: self._per_branch_tokens(red, x))
+        got, got_grads = run(lambda: red(x))
+        np.testing.assert_array_equal(got, want)
+        for (name, _), g, wg in zip(leaves, got_grads, want_grads):
+            assert np.array_equal(g, wg), name
+
 
 class TestIncepMHSA:
     def test_constant_value_rows_give_v(self):

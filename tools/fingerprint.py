@@ -8,8 +8,13 @@ Prints one line per fingerprint:
   augmentation: the loss of every iteration as ``float.hex``, then the
   SHA-256 of the final checkpoint.  Runs micro f32 x6, micro f64 x3,
   micro with overlapping patch embeds f32 x4, micro without biases and with
-  the R=1 reduction bypassed f32 x3, and ipt-t f32 x2 iterations.
+  the R=1 reduction bypassed f32 x3, micro with reductions (3, 3, 3, 1)
+  f32 x3 (stages 1-3 zero-pad before reducing) and ipt-t f32 x2 iterations.
 * the SHA-256 of the ipt-t 512x512 eval-mode logits of one image.
+* the SHA-256 of every `emit_report` format of `count_params` and of
+  `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset
+  as is, without biases, with overlapping patch embeds, with the R=1
+  reduction bypassed and with all three, plus the odd-reduction micro.
 
 To compare two source trees, run it against each and compare the outputs:
 
@@ -17,7 +22,7 @@ To compare two source trees, run it against each and compare the outputs:
     PYTHONPATH=new/src python3 tools/fingerprint.py > new.txt
     cmp old.txt new.txt
 
-It takes about 5 s and 0.5 GiB on a 2-core x86_64 VM.
+It takes about 6 s and 0.5 GiB on a 2-core x86_64 VM.
 """
 
 from __future__ import annotations
@@ -30,17 +35,28 @@ import tempfile
 import numpy as np
 
 from incepformer import TrainConfig, build_model, ipt_t, make_synth_dataset, micro, train
+from incepformer.analysis import count_params, emit_report, estimate_flops
+from incepformer.config import PRESETS
 from incepformer.tensor import Tensor
 
 SEED = 3
+ODD_REDUCTION = dataclasses.replace(
+    micro(), stages=tuple(dataclasses.replace(sc, reduction=r)
+                          for sc, r in zip(micro().stages, (3, 3, 3, 1))))
 RUNS = (
     ("micro-f32", micro(), "f32", 6),
     ("micro-f64", micro(), "f64", 3),
     ("micro-overlap-f32", dataclasses.replace(micro(), patch_mode="overlap"), "f32", 4),
     ("micro-nobias-bypass-f32", dataclasses.replace(micro(), with_bias=False, bypass_reduce_r1=True),
      "f32", 3),
+    ("micro-r3331-f32", ODD_REDUCTION, "f32", 3),
     ("ipt-t-f32", ipt_t(), "f32", 2),
 )
+KNOBS = ({}, {"with_bias": False}, {"patch_mode": "overlap"}, {"bypass_reduce_r1": True},
+         {"with_bias": False, "patch_mode": "overlap", "bypass_reduce_r1": True})
+ANALYZE_CONFIGS = [dataclasses.replace(mk(), **knobs) for mk in PRESETS.values() for knobs in KNOBS]
+ANALYZE_CONFIGS.append(ODD_REDUCTION)
+ANALYZE_SIZES = ((32, 32), (64, 96), (512, 512), (1024, 2048))
 
 
 def sha256_file(path: str) -> str:
@@ -67,10 +83,21 @@ def eval_fingerprint() -> str:
     return hashlib.sha256(logits.data.tobytes()).hexdigest()
 
 
+def analyze_fingerprint() -> str:
+    digest = hashlib.sha256()
+    for cfg in ANALYZE_CONFIGS:
+        reports = [count_params(cfg)] + [estimate_flops(cfg, h, w) for h, w in ANALYZE_SIZES]
+        for report in reports:
+            for fmt in ("json", "csv", "table"):
+                digest.update(emit_report(report, fmt))
+    return digest.hexdigest()
+
+
 def main():
     for name, cfg, dtype, iters in RUNS:
         print(f"train {name} x{iters}: {train_fingerprint(cfg, dtype, iters)}", flush=True)
     print(f"eval ipt-t 512x512 logits: {eval_fingerprint()}", flush=True)
+    print(f"analyze {len(ANALYZE_CONFIGS)} configs: {analyze_fingerprint()}", flush=True)
 
 
 if __name__ == "__main__":
