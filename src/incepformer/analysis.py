@@ -188,8 +188,8 @@ def count_params(cfg: ModelConfig) -> CostReport:
 def estimate_flops(cfg: ModelConfig, h: int, w: int) -> CostReport:
     """Parameter and MAC rows at input size h x w (one count per
     multiply-accumulate): every parameter row first, then every MAC row."""
-    if h % 32 or w % 32:
-        raise ConfigError(f"input dims must be divisible by 32, got {h}x{w}")
+    if h < 32 or w < 32 or h % 32 or w % 32:
+        raise ConfigError(f"input dims must be positive multiples of 32, got {h}x{w}")
     walk = _Walk(cfg)
     walk.walk(h, w)
     meta = {

@@ -26,12 +26,14 @@ from .tensor import Tensor
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    """Parse 'WxH' into (height, width)."""
+    """Parse 'WxH' into (height, width), each at least 1."""
     try:
-        w, h = text.lower().split("x")
-        return int(h), int(w)
+        w, h = map(int, text.lower().split("x"))
     except ValueError:
         raise ConfigError(f"expected a WxH size, got {text!r}") from None
+    if h < 1 or w < 1:
+        raise ConfigError(f"size sides must be positive, got {text!r}")
+    return h, w
 
 
 def _build_parser() -> argparse.ArgumentParser:

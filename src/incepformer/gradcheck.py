@@ -63,6 +63,19 @@ class GradCheckRow:
         return self.rel_err < self.tol
 
 
+def _compare(loss_fn: Callable[[], Tensor], named: Sequence[tuple[str, Tensor]], h: float,
+             tol: float) -> list[GradCheckRow]:
+    """One row per (name, tensor): the tape gradient of scalar `loss_fn()`
+    against its central differences.  The tape pass runs first, and its
+    gradients are copied before any input is perturbed."""
+    with GradTape() as tape:
+        loss = loss_fn()
+    backward(loss, tape)
+    auto = [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for _, x in named]
+    return [GradCheckRow(name, rel_error(a, finite_diff_grad(lambda _x: loss_fn().item(), x, h)), tol)
+            for (name, x), a in zip(named, auto)]
+
+
 def check_function(
     f: Callable[[Sequence[Tensor]], Tensor],
     inputs: Sequence[Tensor],
@@ -74,17 +87,8 @@ def check_function(
 
     One row per differentiable input.
     """
-    with GradTape() as tape:
-        loss = f(inputs)
-    backward(loss, tape)
-    auto = [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for x in inputs]
-    rows = []
-    for i, x in enumerate(inputs):
-        if not x.requires_grad:
-            continue
-        fd = finite_diff_grad(lambda _x, _i=i: f(inputs).item(), x, h)
-        rows.append(GradCheckRow(f"{name}/arg{i}", rel_error(auto[i], fd), tol))
-    return rows
+    named = [(f"{name}/arg{i}", x) for i, x in enumerate(inputs) if x.requires_grad]
+    return _compare(lambda: f(inputs), named, h, tol)
 
 
 def _rand(rng, shape, dtype=np.float64, grad=True) -> Tensor:
@@ -164,14 +168,4 @@ def check_model_gradients(model, loss_fn, h: float = 1e-5, tol: float = 1e-4) ->
     `loss_fn()` must rebuild the forward pass from the model's current
     parameters and return a scalar Tensor.  One row per parameter tensor.
     """
-    with GradTape() as tape:
-        loss = loss_fn()
-    backward(loss, tape)
-    store = model.parameter_store()
-    auto = {name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-            for name, p in store.items()}
-    rows = []
-    for name, p in store.items():
-        fd = finite_diff_grad(lambda _p: loss_fn().item(), p, h)
-        rows.append(GradCheckRow(name, rel_error(auto[name], fd), tol))
-    return rows
+    return _compare(loss_fn, list(model.parameter_store().items()), h, tol)

@@ -695,32 +695,64 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
 # normalization
 # ---------------------------------------------------------------------------
 
-def _safe_inv_sqrt(var: np.ndarray, eps: float) -> np.ndarray:
-    # Zero-variance convention: normalized value is 0, output is the bias.
+# Weight of a batch's statistics in BatchNorm's running buffers.
+BN_MOMENTUM = 0.1
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, ch: int, axes: tuple, stats, eps: float, name: str):
+    """gamma * (x - mean) * inv_std + beta with [C] gamma/beta along axis `ch`:
+    the one body of `batch_norm2d` and `layer_norm`, recorded as op `name`.
+
+    `stats` None normalizes with the biased mean and variance of x over
+    `axes`, so the x gradient has their two batch-sum terms; a (mean, var)
+    pair of [C] arrays is used as given and the x gradient is
+    g * gamma * inv_std.  Where sqrt(var + eps) is 0, inv_std is 0, so the
+    output is beta.  Returns (output, mean, var), mean and var shaped to
+    broadcast against x.
+    """
+    c = x.shape[ch]
+    for pname, t in (("gamma", gamma), ("beta", beta)):
+        if t.shape != (c,):
+            raise ShapeError(f"{name} {pname} shape {t.shape} != ({c},)")
+    shape = [1] * x.ndim
+    shape[ch] = c
+    g_b = gamma.data.reshape(shape)
+    if stats is None:
+        mean = x.data.mean(axis=axes, keepdims=True)
+        xc = x.data - mean
+        # The bits of x.var(axes), without its second mean and subtraction.
+        var = np.square(xc).mean(axis=axes, keepdims=True)
+    else:
+        mean, var = stats[0].reshape(shape), stats[1].reshape(shape)
+        xc = x.data - mean
     denom = np.sqrt(var + eps)
-    return np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
+    inv = 1.0 / np.where(denom > 0, denom, np.inf)  # 0 where var + eps is 0, so the output is beta
+    xhat = xc * inv
+    out = g_b * xhat + beta.data.reshape(shape)
+
+    def bwd(g):
+        dxhat = g * g_b
+        if stats is None:
+            m = x.size // mean.size
+            s1 = dxhat.sum(axis=axes, keepdims=True)
+            s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
+            gx = (inv / m) * (m * dxhat - s1 - xhat * s2)
+        else:
+            gx = dxhat * inv
+        rest = tuple(i for i in range(x.ndim) if i != ch % x.ndim)
+        return gx.astype(x.dtype, copy=False), (g * xhat).sum(axis=rest), g.sum(axis=rest)
+
+    return record_op(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd, name), mean, var
 
 
-def batch_norm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    mode: str = "train",
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-    update_running: bool = True,
-) -> Tensor:
-    """Per-channel normalization of a [N, C, H, W] tensor.
+def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
+                 mode: str = "train", eps: float = 1e-5, update_running: bool = True) -> Tensor:
+    """Per-channel normalization of a [N, C, H, W] tensor over N*H*W.
 
-    Train mode uses batch statistics over N*H*W (biased variance) and, when
-    `update_running` is set, folds them into the running buffers as
-    running = (1 - momentum) * running + momentum * batch.  Eval mode
-    normalizes with the running buffers only.  The mode picks only the
-    statistics and the input gradient: in train mode the statistics depend
-    on x, so its gradient has the two batch-sum terms; in eval mode it is
-    g * gamma * inv_std.
+    Train mode uses the batch statistics and, when `update_running` is set,
+    folds them into the running buffers in place as
+    running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch.  Eval mode
+    normalizes with the running buffers.  See `_normalize`.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm2d expects 4-D input, got {x.shape}")
@@ -728,68 +760,24 @@ def batch_norm2d(
         raise ConfigError(f"batch_norm2d mode must be train/eval, got {mode!r}")
     if eps < 0:
         raise ConfigError("batch_norm2d eps must be >= 0")
-    n, c, h, w = x.shape
-    for name, t in (("gamma", gamma), ("beta", beta)):
-        if t.shape != (c,):
-            raise ShapeError(f"batch_norm2d {name} shape {t.shape} != ({c},)")
-    g_col = gamma.data[None, :, None, None]
-    m = n * h * w
-    if mode == "train":
-        if m == 1:
-            raise NumericsError("batch_norm2d train mode with a single value per channel has degenerate statistics")
-        mean_c = x.data.mean(axis=(0, 2, 3))
-        var_c = x.data.var(axis=(0, 2, 3))
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean_c
-            running_var *= 1.0 - momentum
-            running_var += momentum * var_c
-    else:
-        mean_c, var_c = running_mean, running_var
-    inv = _safe_inv_sqrt(var_c, eps)[None, :, None, None]
-    xhat = (x.data - mean_c[None, :, None, None]) * inv
-    out = g_col * xhat + beta.data[None, :, None, None]
-
-    def bwd(g):
-        if mode == "train":
-            dxhat = g * g_col
-            s1 = dxhat.sum(axis=(0, 2, 3))
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-            gx = (inv / m) * (m * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None])
-        else:
-            gx = g * g_col * inv
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
-        return gx.astype(x.dtype, copy=False), ggamma, gbeta
-
-    return record_op(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd, "batch_norm2d")
+    stats = None if mode == "train" else (running_mean, running_var)
+    if stats is None and x.size == x.shape[1]:
+        raise NumericsError("batch_norm2d train mode with a single value per channel has degenerate statistics")
+    out, mean, var = _normalize(x, gamma, beta, 1, (0, 2, 3), stats, eps, "batch_norm2d")
+    if stats is None and update_running:
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.reshape(-1)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.reshape(-1)
+    return out
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last (channel) axis only, then apply gamma/beta."""
+    """Normalize each position over its last (channel) axis, then apply
+    gamma/beta.  See `_normalize`."""
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"layer_norm needs a non-empty channel axis, got {x.shape}")
-    c = x.shape[-1]
-    for name, t in (("gamma", gamma), ("beta", beta)):
-        if t.shape != (c,):
-            raise ShapeError(f"layer_norm {name} shape {t.shape} != ({c},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = _safe_inv_sqrt(var, eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gamma.data + beta.data
-
-    def bwd(g):
-        dxhat = g * gamma.data
-        s1 = dxhat.sum(axis=-1, keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
-        gx = (inv / c) * (c * dxhat - s1 - xhat * s2)
-        lead = tuple(range(x.ndim - 1))
-        ggamma = (g * xhat).sum(axis=lead)
-        gbeta = g.sum(axis=lead)
-        return gx.astype(x.dtype, copy=False), ggamma, gbeta
-
-    return record_op(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd, "layer_norm")
+    return _normalize(x, gamma, beta, -1, (-1,), None, eps, "layer_norm")[0]
 
 
 # ---------------------------------------------------------------------------

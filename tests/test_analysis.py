@@ -165,6 +165,11 @@ class TestFlops:
         with pytest.raises(ConfigError):
             estimate_flops(ipt_t(), 100, 100)
 
+    @pytest.mark.parametrize("hw", [(0, 0), (-32, -32), (64, 0), (-32, 64)])
+    def test_non_positive_input_rejected(self, hw):
+        with pytest.raises(ConfigError, match="positive multiples of 32"):
+            estimate_flops(micro(), *hw)
+
     @pytest.mark.parametrize("cfg", [
         ipt_t(),
         dataclasses.replace(micro(), with_bias=False, bypass_reduce_r1=True, patch_mode="overlap"),

@@ -297,6 +297,19 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert run_cli(["analyze", "--model", "/nonexistent/cfg.json"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "micro", "--iters", "1", "--crop=-64x-64"],
+        ["eval", "--model", "micro", "--crop=-64x-64"],
+        ["eval", "--model", "micro", "--crop=64x0"],
+        ["gradcheck", "--model", "micro", "--input=-32x-32"],
+        ["analyze", "--model", "micro", "--input=0x0"],
+        ["analyze", "--model", "micro", "--input=-32x-32", "--format", "csv"],
+    ], ids=["train-crop-negative", "eval-crop-negative", "eval-crop-zero", "gradcheck-input-negative",
+            "analyze-input-zero", "analyze-input-negative"])
+    def test_non_positive_size(self, argv, capsys):
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
     def test_hostile_input_file(self, case, tmp_path, capsys):
         argv, payload, code = HOSTILE_INPUTS[case]

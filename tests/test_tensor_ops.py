@@ -208,9 +208,10 @@ class TestBatchNorm:
         x = t64(np.array([2.0, 4.0]).reshape(1, 1, 1, 2))
         g, b = t64(np.ones(1)), t64(np.zeros(1))
         rm, rv = np.zeros(1), np.ones(1)
-        T.batch_norm2d(x, g, b, rm, rv, mode="train", momentum=0.5, eps=1e-5)
-        assert rm[0] == pytest.approx(1.5)  # 0.5*0 + 0.5*3
-        assert rv[0] == pytest.approx(1.0)  # 0.5*1 + 0.5*1 (biased var of {2,4})
+        T.batch_norm2d(x, g, b, rm, rv, mode="train", eps=1e-5)
+        assert T.BN_MOMENTUM == 0.1
+        assert rm[0] == pytest.approx(0.3)  # 0.9*0 + 0.1*3
+        assert rv[0] == pytest.approx(1.0)  # 0.9*1 + 0.1*1 (biased var of {2,4})
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -266,6 +267,32 @@ class TestLayerNorm:
         a = T.layer_norm(t64(x), g, b, eps=0.0)
         c = T.layer_norm(t64(2.0 * x), g, b, eps=0.0)
         np.testing.assert_allclose(a.data, c.data, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (2, 7, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equals_direct_expression(self, shape, dtype):
+        rng = np.random.default_rng(12)
+        x, g, b = (rng.standard_normal(s).astype(dtype) for s in (shape, (5,), (5,)))
+        x.reshape(-1, 5)[1] = 0.75  # a constant row: zero variance at eps=0, output beta
+        upstream = rng.standard_normal(shape).astype(dtype)
+        xt, gt, bt = (T.parameter(a) for a in (x, g, b))
+        with T.GradTape() as tape:
+            out = T.layer_norm(xt, gt, bt, eps=0.0)
+            loss = T.tsum(T.mul(out, Tensor(upstream)))
+        T.backward(loss, tape)
+
+        lead = tuple(range(x.ndim - 1))
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        denom = np.sqrt(var)
+        inv = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
+        xhat = (x - mu) * inv
+        dxhat = upstream * g
+        s1, s2 = dxhat.sum(axis=-1, keepdims=True), (dxhat * xhat).sum(axis=-1, keepdims=True)
+        gx = (inv / 5) * (5 * dxhat - s1 - xhat * s2)
+        want = [xhat * g + b, gx, (upstream * xhat).sum(axis=lead), upstream.sum(axis=lead)]
+        assert (out.data.reshape(-1, 5)[1] == b).all()
+        for got, exp in zip([out.data, xt.grad, gt.grad, bt.grad], want):
+            assert got.dtype == dtype and got.tobytes() == exp.tobytes()
 
 
 class TestSoftmax:

@@ -10,7 +10,8 @@ Prints one line per fingerprint:
   micro with overlapping patch embeds f32 x4, micro without biases and with
   the R=1 reduction bypassed f32 x3, micro with reductions (3, 3, 3, 1)
   f32 x3 (stages 1-3 zero-pad before reducing) and ipt-t f32 x2 iterations.
-* the SHA-256 of the ipt-t 512x512 eval-mode logits of one image.
+* the SHA-256 of the eval-mode logits of one image for ipt-t f32 at
+  512x512 and micro f64 at 64x64 (BatchNorm eval in both dtypes).
 * the SHA-256 of every `emit_report` format of `count_params` and of
   `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset
   as is, without biases, with overlapping patch embeds, with the R=1
@@ -74,12 +75,11 @@ def train_fingerprint(cfg, dtype: str, iters: int) -> str:
     return " ".join([float(v).hex() for v in result.history] + [digest])
 
 
-def eval_fingerprint() -> str:
-    cfg = ipt_t()
-    model = build_model(cfg, seed=SEED)
+def eval_fingerprint(cfg, dtype: str, size: int) -> str:
+    model = build_model(cfg, seed=SEED, dtype=dtype)
     model.eval()
-    image = make_synth_dataset(1, 512, 512, cfg.num_classes, SEED)[0].image
-    logits = model(Tensor(image[None]))
+    image = make_synth_dataset(1, size, size, cfg.num_classes, SEED)[0].image
+    logits = model(Tensor(image[None], dtype=dtype))
     return hashlib.sha256(logits.data.tobytes()).hexdigest()
 
 
@@ -96,7 +96,8 @@ def analyze_fingerprint() -> str:
 def main():
     for name, cfg, dtype, iters in RUNS:
         print(f"train {name} x{iters}: {train_fingerprint(cfg, dtype, iters)}", flush=True)
-    print(f"eval ipt-t 512x512 logits: {eval_fingerprint()}", flush=True)
+    print(f"eval ipt-t 512x512 logits: {eval_fingerprint(ipt_t(), 'f32', 512)}", flush=True)
+    print(f"eval micro-f64 64x64 logits: {eval_fingerprint(micro(), 'f64', 64)}", flush=True)
     print(f"analyze {len(ANALYZE_CONFIGS)} configs: {analyze_fingerprint()}", flush=True)
 
 
