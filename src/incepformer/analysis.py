@@ -26,7 +26,7 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 
-from .config import ModelConfig
+from .config import INPUT_MULTIPLE, ModelConfig, check_input_size
 from .errors import ConfigError, ContractError
 
 CAT_PARAMS = "params"
@@ -179,17 +179,16 @@ class _Walk:
 def count_params(cfg: ModelConfig) -> CostReport:
     """Closed-form per-tensor parameter counts (no model is built).  The
     parameter rows do not depend on the input size, so the walk runs at
-    32x32, the smallest valid input."""
+    the smallest valid input."""
     walk = _Walk(cfg)
-    walk.walk(32, 32)
+    walk.walk(INPUT_MULTIPLE, INPUT_MULTIPLE)
     return CostReport(rows=walk.params, meta={"model": cfg.name, "kind": "params"})
 
 
 def estimate_flops(cfg: ModelConfig, h: int, w: int) -> CostReport:
     """Parameter and MAC rows at input size h x w (one count per
     multiply-accumulate): every parameter row first, then every MAC row."""
-    if h < 32 or w < 32 or h % 32 or w % 32:
-        raise ConfigError(f"input dims must be positive multiples of 32, got {h}x{w}")
+    check_input_size(h, w, "input")
     walk = _Walk(cfg)
     walk.walk(h, w)
     meta = {

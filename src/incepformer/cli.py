@@ -1,13 +1,15 @@
 """Command-line interface: analyze, gradcheck, train, eval, infer.
 
 Exit codes are stable per error class: 0 success, 1 operation failure
-(including gradient-check failures and runtime errors), 2 usage errors,
-3 invalid configuration or input files.
+(including gradient-check failures, runtime errors and malformed image or
+checkpoint files), 2 usage errors, 3 invalid configuration (a model config,
+or a size that breaks the input-size rule).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .analysis import count_params, emit_report, estimate_flops
 from .checkpoint import atomic_write
-from .config import PRESETS, load_model_config
+from .config import PRESETS, check_input_size, load_model_config
 from .data import class_colors, make_synth_dataset
 from .errors import ConfigError, ContractError, IncepFormerError
 from .gradcheck import check_model_gradients, check_op_gradients
@@ -23,16 +25,16 @@ from .metrics import class_map, eval_miou
 from .model import build_model, freeze_batchnorm_stats
 from .netpbm import read_image, write_pgm, write_ppm
 from .tensor import Tensor
+from .train import TrainConfig, cross_entropy, load_training_checkpoint, train
 
 
-def _parse_size(text: str) -> tuple[int, int]:
-    """Parse 'WxH' into (height, width), each at least 1."""
+def _parse_size(text: str, option: str) -> tuple[int, int]:
+    """Parse 'WxH' into (height, width), checked against the input-size rule."""
     try:
         w, h = map(int, text.lower().split("x"))
     except ValueError:
-        raise ConfigError(f"expected a WxH size, got {text!r}") from None
-    if h < 1 or w < 1:
-        raise ConfigError(f"size sides must be positive, got {text!r}")
+        raise ConfigError(f"{option}: expected a WxH size, got {text!r}") from None
+    check_input_size(h, w, option)
     return h, w
 
 
@@ -40,27 +42,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="incepformer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_default=None):
+    def common(p, model_default):
         p.add_argument("--model", default=model_default,
                        help=f"preset name ({', '.join(sorted(PRESETS))}) or JSON config path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
-        p.add_argument("--patch-mode", choices=("nonoverlap", "overlap"), default=None)
 
     p = sub.add_parser("analyze", help="parameter counts and FLOP estimates")
-    common(p, model_default="ipt-t")
+    common(p, "ipt-t")
     p.add_argument("--input", default=None, help="input size WxH for FLOP estimation")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("gradcheck", help="autodiff vs finite-difference comparison")
-    common(p, model_default="micro")
+    common(p, "micro")
     # The h=1e-5 central differences meet tol 1e-4 only in f64.
     p.set_defaults(dtype="f64")
     p.add_argument("--input", default="32x32")
 
     p = sub.add_parser("train", help="train on the synthetic dataset")
-    common(p, model_default="micro")
+    common(p, "micro")
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--lr", type=float, default=6e-5)
@@ -70,38 +71,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the loss log to this file")
 
     p = sub.add_parser("eval", help="mIoU on the synthetic dataset")
-    common(p, model_default="micro")
+    common(p, "micro")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--crop", default="64x64", help="synthetic image size WxH")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p = sub.add_parser("infer", help="segment a P5/P6 netpbm image")
     p.add_argument("image", help="input image (binary PGM or PPM)")
-    common(p, model_default="micro")
+    common(p, "micro")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", required=True, help="class-index mask path (PGM, P5)")
     p.add_argument("--color-out", default=None, help="optional color mask path (PPM, P6)")
     return parser
 
 
-def _load_cfg(args):
-    if args.model is None:
-        raise ConfigError("--model is required")
-    cfg = load_model_config(args.model)
-    if args.patch_mode is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, patch_mode=args.patch_mode)
-        cfg.validate()
-    return cfg
-
-
 def _cmd_analyze(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_model_config(args.model)
     if args.input is None:
         report = count_params(cfg)
     else:
-        h, w = _parse_size(args.input)
+        h, w = _parse_size(args.input, "--input")
         report = estimate_flops(cfg, h, w)
     payload = emit_report(report, args.format)
     if args.out:
@@ -114,10 +103,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .train import cross_entropy
-
-    h, w = _parse_size(args.input)
-    cfg = _load_cfg(args)
+    h, w = _parse_size(args.input, "--input")
+    cfg = load_model_config(args.model)
     rows = check_op_gradients(seed=args.seed)
     model = build_model(cfg, seed=args.seed, dtype=args.dtype)
     model.train()
@@ -144,10 +131,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .train import TrainConfig, train
-
-    cfg = _load_cfg(args)
-    ch, cw = _parse_size(args.crop)
+    cfg = load_model_config(args.model)
+    ch, cw = _parse_size(args.crop, "--crop")
     tcfg = TrainConfig(base_lr=args.lr, max_iters=args.iters, batch_size=args.batch,
                        crop=(ch, cw), seed=args.seed)
     dataset = make_synth_dataset(16, ch, cw, cfg.num_classes, args.seed)
@@ -167,12 +152,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    import json as _json
-
-    from .train import TrainConfig, load_training_checkpoint
-
-    cfg = _load_cfg(args)
-    ch, cw = _parse_size(args.crop)
+    cfg = load_model_config(args.model)
+    ch, cw = _parse_size(args.crop, "--crop")
     model = build_model(cfg, seed=args.seed, dtype=args.dtype)
     if args.checkpoint:
         load_training_checkpoint(args.checkpoint, model)
@@ -183,7 +164,7 @@ def _cmd_eval(args) -> int:
             "miou": result.miou,
             "per_class": [None if np.isnan(v) else float(v) for v in result.per_class],
         }
-        print(_json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     else:
         print("class,iou")
         for i, v in enumerate(result.per_class):
@@ -193,13 +174,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .train import load_training_checkpoint
-
-    cfg = _load_cfg(args)
+    cfg = load_model_config(args.model)
     image = read_image(args.image)
     _, h, w = image.shape
-    if h % 32 or w % 32:
-        raise ConfigError(f"input image dims must be divisible by 32, got {w}x{h}")
+    check_input_size(h, w, f"image {args.image!r}")
     model = build_model(cfg, seed=args.seed, dtype=args.dtype)
     if args.checkpoint:
         load_training_checkpoint(args.checkpoint, model)

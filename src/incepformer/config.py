@@ -8,11 +8,16 @@ gradient checking).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Sequence
+import math
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Sequence, get_origin, get_type_hints
 
 from .errors import ConfigError
 
+# IncepFormer's four patch embeddings stride 4, 2, 2 and 2, so every input
+# side must be a positive multiple of their product.
+INPUT_MULTIPLE = 32
 PATCH_MODES = ("nonoverlap", "overlap")
 # The most classes a config may declare: far above ADE20K's 150, and small
 # enough that the per-class palette and score planes stay cheap.
@@ -78,19 +83,52 @@ class ModelConfig:
             raise ConfigError(f"num_classes must be in [2, {MAX_NUM_CLASSES}], got {self.num_classes}")
         if self.patch_mode not in PATCH_MODES:
             raise ConfigError(f"patch_mode must be one of {PATCH_MODES}, got {self.patch_mode!r}")
-        if self.norm_eps < 0:
-            raise ConfigError(f"norm_eps must be >= 0, got {self.norm_eps}")
+        if not 0 <= self.norm_eps <= sys.float_info.max:
+            raise ConfigError(f"norm_eps must be finite and >= 0, got {self.norm_eps}")
 
     @property
     def concat_channels(self) -> int:
         return sum(s.channels for s in self.stages)
 
 
-_STAGE_FIELDS = ("channels", "depth", "reduction", "heads", "ffn_ratio")
-# Converter per scalar ModelConfig field; a field left out keeps its default.
-_SCALAR_FIELDS = {"decoder_channels": int, "num_classes": int, "patch_mode": str, "norm_eps": float,
-                  "with_bias": bool, "bypass_reduce_r1": bool, "name": str}
-_MODEL_FIELDS = ("stages", *_SCALAR_FIELDS)
+def check_input_size(h: int, w: int, what: str):
+    """The one input-size rule: both sides positive multiples of INPUT_MULTIPLE."""
+    if h < 1 or w < 1 or h % INPUT_MULTIPLE or w % INPUT_MULTIPLE:
+        raise ConfigError(f"{what} sides must be positive multiples of {INPUT_MULTIPLE}, "
+                          f"got width {w}, height {h}")
+
+
+_STAGE_FIELDS = tuple(f.name for f in fields(StageConfig))
+_MODEL_FIELDS = tuple(f.name for f in fields(ModelConfig))
+# The JSON kind each annotated field type is read from (`stages` is a tuple).
+_JSON_KINDS = {int: "an integer", bool: "true or false", float: "a finite number",
+               str: "a string", tuple: "a list"}
+
+
+def _read(cls, doc, where: str) -> dict:
+    """The fields of dataclass `cls` from the JSON object `doc`: none unknown,
+    every one without a default present, and each value of its annotated
+    type's JSON kind.  Values are not converted, except that a float field
+    takes an integer as the float it equals."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s): {', '.join(sorted(unknown))}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise ConfigError(f"{where}: missing field(s): {', '.join(missing)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in doc.items():
+        kind = get_origin(hints[key]) or hints[key]
+        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)
+        ok = type(value) is (list if kind is tuple else kind)
+        if not ok or kind is float and not math.isfinite(value):
+            raise ConfigError(f"{where}.{key} must be {_JSON_KINDS[kind]}, got {value!r}")
+        values[key] = value
+    return values
 
 
 def to_dict(cfg: ModelConfig) -> dict:
@@ -100,40 +138,10 @@ def to_dict(cfg: ModelConfig) -> dict:
 
 
 def from_dict(d: dict) -> ModelConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("model config document must be a JSON object")
-    unknown = set(d) - set(_MODEL_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-    if "stages" not in d:
-        raise ConfigError("config field 'stages' is required")
-    if not isinstance(d["stages"], list):
-        raise ConfigError("config field 'stages' must be a list")
-    stages = []
-    for i, sd in enumerate(d["stages"], start=1):
-        if not isinstance(sd, dict):
-            raise ConfigError(f"stages[{i}] must be an object")
-        bad = set(sd) - set(_STAGE_FIELDS)
-        if bad:
-            raise ConfigError(f"stages[{i}]: unknown field(s): {', '.join(sorted(bad))}")
-        missing = set(_STAGE_FIELDS) - set(sd)
-        if missing:
-            raise ConfigError(f"stages[{i}]: missing field(s): {', '.join(sorted(missing))}")
-        try:
-            stages.append(StageConfig(**{k: int(sd[k]) for k in _STAGE_FIELDS}))
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"stages[{i}]: {e}") from e
-    for key in ("decoder_channels", "num_classes"):
-        if key not in d:
-            raise ConfigError(f"config field {key!r} is required")
-    values = {}
-    for key, conv in _SCALAR_FIELDS.items():
-        if key in d:
-            try:
-                values[key] = conv(d[key])
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ConfigError(f"config field {key!r}: {e}") from e
-    cfg = ModelConfig(stages=tuple(stages), **values)
+    values = _read(ModelConfig, d, "config")
+    values["stages"] = tuple(StageConfig(**_read(StageConfig, sd, f"stages[{i}]"))
+                             for i, sd in enumerate(values["stages"], start=1))
+    cfg = ModelConfig(**values)
     cfg.validate()
     return cfg
 
@@ -201,6 +209,8 @@ def load_model_config(path_or_name: str) -> ModelConfig:
         raise ConfigError(
             f"{path_or_name}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except ValueError as e:  # an integer longer than int() reads (4300 digits by default)
+        raise ConfigError(f"{path_or_name}: {e}") from None
     except RecursionError:
         raise ConfigError(f"{path_or_name}: JSON nested too deeply") from None
     return from_dict(doc)

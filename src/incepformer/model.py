@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import ModelConfig
+from .config import INPUT_MULTIPLE, ModelConfig
 from .errors import ConfigError, ShapeError
 from .modules import BatchNorm2d, Conv2d, InitCtx, LayerNorm, Module
 from .tensor import Tensor, resolve_dtype
@@ -245,8 +245,8 @@ class IncepFormer(Module):
         if image.ndim != 4 or image.shape[1] != 3:
             raise ShapeError(f"expected [N, 3, H, W] image, got {image.shape}")
         h, w = image.shape[2], image.shape[3]
-        if h % 32 or w % 32:
-            raise ShapeError(f"input dims must be divisible by 32, got {h}x{w}")
+        if h % INPUT_MULTIPLE or w % INPUT_MULTIPLE:
+            raise ShapeError(f"input dims must be divisible by {INPUT_MULTIPLE}, got {h}x{w}")
         feats = []
         x = image
         for i in range(1, 5):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import apply_tensors, load_checkpoint, save_checkpoint
-from .config import ModelConfig
+from .config import ModelConfig, check_input_size
 from .data import SegSample, augment
 from .errors import ConfigError, ContractError, NumericsError
 from .model import IncepFormer, build_model
@@ -45,9 +45,7 @@ class TrainConfig:
             raise ConfigError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
-        ch, cw = self.crop
-        if ch % 32 or cw % 32:
-            raise ConfigError(f"crop dims must be divisible by 32, got {self.crop}")
+        check_input_size(*self.crop, "crop")
         if self.max_iters < 1 or self.batch_size < 1:
             raise ConfigError("max_iters and batch_size must be >= 1")
         if self.base_lr <= 0 or self.power < 0 or self.eps <= 0:

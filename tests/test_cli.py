@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, outputs, exit codes."""
 
 import copy
+import dataclasses
 import json
 import os
 import stat
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 import incepformer
-from incepformer.analysis import count_params, estimate_flops
+from incepformer.analysis import count_params, emit_report, estimate_flops
 from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from incepformer.cli import _build_parser, run_cli
-from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro
+from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro, to_dict
 from incepformer.netpbm import read_image, write_pgm, write_ppm
 
 TINY_CONFIG = {
@@ -54,6 +55,8 @@ HOSTILE_INPUTS = {
     "config-width-not-integer": (ANALYZE, config_text('"abc"', "decoder_channels"), 3),
     "config-stages-not-list": (ANALYZE, config_text("5", "stages"), 3),
     "config-eps-list": (ANALYZE, config_text("[1]", "norm_eps"), 3),
+    "config-bias-string": (ANALYZE, config_text('"false"', "with_bias"), 3),
+    "config-int-too-long": (ANALYZE, config_text("1" + "0" * 5000, "decoder_channels"), 3),
     "config-channels-inf": (ANALYZE, config_text("1e400", "channels", stage=0), 3),
     "config-width-inf": (ANALYZE, config_text("1e400", "decoder_channels"), 3),
     "config-not-utf8": (ANALYZE, b"\xff\xfe{}", 3),
@@ -103,13 +106,17 @@ class TestAnalyzeCommand:
                         "--out", str(path)]) == 0
         assert path.read_bytes().startswith(b"layer,params,flops\n")
 
-    def test_patch_mode_flag_changes_counts(self, capsys):
-        run_cli(["analyze", "--model", "micro", "--format", "csv"])
+    def test_patch_mode_flag_changes_counts(self, tmp_path, capsys):
+        # patch_mode comes from the config file; no flag overrides a config field.
+        cfg = dataclasses.replace(micro(), patch_mode="overlap")
+        path = tmp_path / "overlap.json"
+        path.write_text(json.dumps(to_dict(cfg)))
+        assert run_cli(["analyze", "--model", "micro", "--format", "csv"]) == 0
         nonoverlap = capsys.readouterr().out
-        run_cli(["analyze", "--model", "micro", "--format", "csv",
-                 "--patch-mode", "overlap"])
+        assert run_cli(["analyze", "--model", str(path), "--format", "csv"]) == 0
         overlap = capsys.readouterr().out
-        assert nonoverlap != overlap
+        assert overlap == emit_report(count_params(cfg), "csv").decode() != nonoverlap
+        assert run_cli(["analyze", "--model", "micro", "--patch-mode", "overlap"]) == 2
 
 
 class TestGradcheckCommand:
@@ -309,6 +316,20 @@ class TestExitCodes:
     def test_non_positive_size(self, argv, capsys):
         assert run_cli(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--model", "micro", "--input", "33x33"],
+        ["eval", "--model", "micro", "--crop", "33x33"],
+        ["train", "--model", "micro", "--iters", "1", "--crop", "48x64"],
+        ["analyze", "--model", "micro", "--input", "33x33"],
+        ["infer", "{image}", "--model", "micro", "--out", "{out}"],
+    ], ids=["gradcheck-input", "eval-crop", "train-crop", "analyze-input", "infer-image"])
+    def test_size_not_multiple_of_32(self, argv, tmp_path, capsys):
+        image = tmp_path / "image.pgm"
+        write_pgm(str(image), np.zeros((33, 33), dtype=np.uint8))
+        assert run_cli([a.format(image=image, out=tmp_path / "mask.pgm") for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "multiples of 32" in err
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
     def test_hostile_input_file(self, case, tmp_path, capsys):

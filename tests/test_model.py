@@ -1,5 +1,6 @@
 """Config handling and model architecture tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from incepformer import tensor as T
 from incepformer.config import (
     MAX_DEPTH,
     MAX_NUM_CLASSES,
+    PRESETS,
     StageConfig,
     dumps,
     from_dict,
@@ -90,6 +92,37 @@ class TestConfig:
         path.write_text(dumps(ipt_t()))
         assert load_model_config(str(path)) == ipt_t()
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_round_trips_through_a_file(self, name, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(dumps(PRESETS[name]()))
+        assert load_model_config(str(path)) == PRESETS[name]()
+
+    @pytest.mark.parametrize("field,value", [
+        ("with_bias", "false"), ("with_bias", 1),
+        ("channels", 8.9), ("channels", True),
+        ("norm_eps", math.nan), ("norm_eps", math.inf), ("norm_eps", "1e-5"), ("norm_eps", 10**400),
+    ])
+    def test_value_of_wrong_json_kind_rejected(self, field, value):
+        # Each once passed through int(), bool() or float(): "false" built
+        # biases, 8.9 became 8 channels, a NaN eps made every norm output beta.
+        doc = to_dict(micro())
+        (doc["stages"][0] if field == "channels" else doc)[field] = value
+        with pytest.raises(ConfigError, match=field):
+            from_dict(doc)
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_integer_norm_eps_accepted(self, value):
+        doc = to_dict(micro())
+        doc["norm_eps"] = value
+        cfg = from_dict(doc)
+        assert cfg.norm_eps == value and type(cfg.norm_eps) is float
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 10**400, -1e-5])
+    def test_non_finite_or_negative_norm_eps_rejected(self, eps):
+        with pytest.raises(ConfigError, match="norm_eps"):
+            dataclasses.replace(micro(), norm_eps=eps).validate()
+
     def test_parse_error_has_line_and_column(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"stages": [\n  oops\n]}')
@@ -110,8 +143,6 @@ class TestPatchEmbed:
             model.stage1.patch(rand_t((1, 3, 30, 30), dtype="f32"))
 
     def test_overlap_mode_shapes(self):
-        import dataclasses
-
         cfg = dataclasses.replace(micro(), patch_mode="overlap")
         model = build_model(cfg, seed=0).eval()
         pyr = model.encode(rand_t((1, 3, 64, 64), dtype="f32"))

@@ -481,6 +481,13 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="crop"):
             tcfg(crop=(50, 64)).validate()
 
+    @pytest.mark.parametrize("crop", [(0, 0), (-64, -64)])
+    def test_non_positive_crop_rejected(self, crop):
+        from incepformer.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="crop"):
+            tcfg(crop=crop).validate()
+
     def test_f32_step_leaves_f32_grads(self):
         ds = make_synth_dataset(2, 64, 64, 2, seed=9)
         res = train(micro(num_classes=2), tcfg(max_iters=1), ds)
