@@ -21,7 +21,7 @@ from .config import PRESETS, check_input_size, load_model_config
 from .data import class_colors, make_synth_dataset
 from .errors import ConfigError, ContractError, IncepFormerError
 from .gradcheck import check_model_gradients, check_op_gradients
-from .metrics import class_map, eval_miou
+from .metrics import eval_miou, label_map
 from .model import build_model, freeze_batchnorm_stats
 from .netpbm import read_image, write_pgm, write_ppm
 from .tensor import Tensor
@@ -175,6 +175,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_infer(args) -> int:
     cfg = load_model_config(args.model)
+    if cfg.num_classes > 256:
+        raise ContractError("more than 256 classes cannot be written as 8-bit PGM")
     image = read_image(args.image)
     _, h, w = image.shape
     check_input_size(h, w, f"image {args.image!r}")
@@ -182,11 +184,7 @@ def _cmd_infer(args) -> int:
     if args.checkpoint:
         load_training_checkpoint(args.checkpoint, model)
     model.eval()
-    logits = model(Tensor(image[None], dtype=args.dtype))
-    up = T.bilinear_upsample(logits, h, w, align_corners=False)
-    mask = class_map(up.data[0])
-    if mask.max() > 255:
-        raise ContractError("more than 256 classes cannot be written as 8-bit PGM")
+    mask = label_map(model(Tensor(image[None], dtype=args.dtype)).data[0], h, w)
     write_pgm(args.out, mask.astype(np.uint8))
     if args.color_out:
         palette = (class_colors(cfg.num_classes) * 255).astype(np.uint8)

@@ -459,10 +459,22 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 def softmax(x: Tensor, axis: int) -> Tensor:
     """exp(x - max) / sum(exp(x - max)) along `axis`, computed in place in
-    its one output buffer."""
+    its one output buffer, with the shifted scores x - max clamped from
+    below at log(tiny * Lk) (tiny = np.finfo(dtype).tiny, Lk the length of
+    `axis`).
+
+    The clamp keeps subnormals out: exp into subnormals, and BLAS products
+    over subnormal weights, run many times slower.  A clamped entry's exp
+    is tiny * Lk and its row's sum is under Lk, so no output lies in
+    (0, tiny).  Each entry moves by less than about Lk * tiny (9e-36 in f32
+    at Lk = 768); rows whose shifted scores all stay above the floor are
+    bitwise the textbook expression.
+    """
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for rank {x.ndim}")
     y = x.data - x.data.max(axis=axis, keepdims=True)
+    tiny = np.finfo(y.dtype).tiny
+    np.maximum(y, y.dtype.type(math.log(tiny) + math.log(y.shape[axis])), out=y)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 

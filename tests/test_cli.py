@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 import incepformer
+from incepformer import cli as cli_mod, tensor as T
 from incepformer.analysis import count_params, emit_report, estimate_flops
 from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from incepformer.cli import _build_parser, run_cli
 from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro, to_dict
+from incepformer.model import build_model
 from incepformer.netpbm import read_image, write_pgm, write_ppm
+from incepformer.tensor import Tensor
 
 TINY_CONFIG = {
     "name": "tiny",
@@ -233,6 +236,34 @@ class TestInferCommand:
         assert header[1] == b"96 64"
         img = read_image(str(color))
         assert img.shape == (3, 64, 96)
+
+    def test_mask_is_argmax_of_full_upsample(self, tmp_path):
+        # The PGM bytes of the forward, full-size upsample and argmax.
+        rng = np.random.default_rng(1)
+        src = tmp_path / "in.ppm"
+        write_ppm(str(src), rng.integers(0, 256, (64, 96, 3)).astype(np.uint8))
+        mask = tmp_path / "mask.pgm"
+        assert run_cli(["infer", str(src), "--model", "micro", "--seed", "4", "--out", str(mask)]) == 0
+        model = build_model(micro(), seed=4).eval()
+        logits = model(Tensor(read_image(str(src))[None], dtype="f32"))
+        want = np.argmax(T.bilinear_upsample(logits, 64, 96).data[0], axis=0).astype(np.uint8)
+        assert mask.read_bytes() == b"P5\n96 64\n255\n" + want.tobytes()
+
+    def test_more_than_256_classes_fails_before_the_forward(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, num_classes=300)))
+        src = tmp_path / "in.ppm"
+        write_ppm(str(src), np.zeros((32, 32, 3), dtype=np.uint8))
+
+        def no_model(*a, **kw):
+            raise AssertionError("infer built the model")
+
+        monkeypatch.setattr(cli_mod, "build_model", no_model)
+        out = tmp_path / "m.pgm"
+        assert run_cli(["infer", str(src), "--model", str(cfg), "--checkpoint", str(tmp_path / "none.ckpt"),
+                        "--out", str(out)]) == 1
+        assert "more than 256 classes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_indivisible_image_rejected(self, tmp_path):
         src = tmp_path / "in.ppm"

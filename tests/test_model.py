@@ -8,7 +8,7 @@ import pytest
 
 from oracles import attention_loop_oracle, make_init
 
-from incepformer import tensor as T
+from incepformer import model as model_mod, tensor as T
 from incepformer.config import (
     MAX_DEPTH,
     MAX_NUM_CLASSES,
@@ -266,6 +266,41 @@ class TestIncepMHSA:
             lo = v.min(axis=1, keepdims=True) - 1e-9
             hi = v.max(axis=1, keepdims=True) + 1e-9
             assert (out >= lo).all() and (out <= hi).all()
+
+    ATTEND_OPS = ["linear", "scale", "linear", "linear", "reshape", "transpose", "reshape", "transpose",
+                  "reshape", "transpose", "matmul", "softmax", "matmul", "transpose", "reshape", "linear"]
+
+    def _blocked_setup(self, monkeypatch):
+        """Two heads, 10 queries, 3 keys; a block of 3 query rows (18 scores),
+        so four blocks, the last of one row."""
+        attn = IncepMHSA(4, 2, 2, make_init(31), eps=1e-5)
+        monkeypatch.setattr(model_mod, "ATTN_BLOCK_SCORES", 3 * 2 * 3)
+        softmaxes = []
+        softmax = T.softmax
+
+        def counted(x, axis):
+            softmaxes.append(x.shape)
+            return softmax(x, axis)
+
+        monkeypatch.setattr(T, "softmax", counted)
+        return attn, rand_t((1, 10, 4), seed=32), rand_t((1, 3, 4), seed=33), softmaxes
+
+    def test_no_tape_query_blocks_match_one_block_and_oracle(self, monkeypatch):
+        attn, q, kv, softmaxes = self._blocked_setup(monkeypatch)
+        got = attn.attend(q, kv).data
+        assert [s[2] for s in softmaxes] == [3, 3, 3, 1]
+        monkeypatch.setattr(model_mod, "ATTN_BLOCK_SCORES", 1 << 40)
+        one = attn.attend(q, kv).data
+        assert len(softmaxes) == 5
+        np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, attention_loop_oracle(q.data, kv.data, attn), rtol=0, atol=1e-12)
+
+    def test_tape_records_one_block(self, monkeypatch):
+        attn, q, kv, softmaxes = self._blocked_setup(monkeypatch)
+        with GradTape() as tape:
+            attn.attend(q, kv)
+        assert [node.name for node in tape.nodes] == self.ATTEND_OPS
+        assert [s[2] for s in softmaxes] == [10]
 
     def test_kv_vs_query_counts_full_scale(self):
         # stage-1 geometry of a 512x512 input: 128x128 tokens, R=8

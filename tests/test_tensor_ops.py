@@ -321,6 +321,28 @@ class TestSoftmax:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         assert T.softmax(Tensor(x), axis=-1).data.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_floor_makes_no_subnormals_and_moves_entries_by_under_lk_tiny(self, dtype):
+        lk = 768
+        tiny = float(np.finfo(dtype).tiny)
+        floor = np.log(tiny) + np.log(lk)
+        rng = np.random.default_rng(11)
+        # Shifted scores (the max is 0) across the floor and down past where
+        # exp underflows to subnormals and to zero.  Only two more scores lie
+        # far above the floor, so each row's sum is near 1, where a clamped
+        # entry's move comes nearest Lk * tiny.
+        offsets = np.concatenate([[0.0], -rng.uniform(3, 6, 2),
+                                  floor + rng.uniform(-3, 3, 300), floor - rng.uniform(3, 700, 465)])
+        x = np.stack([offsets, rng.permutation(offsets) + 2.5]).astype(dtype)
+        got = T.softmax(Tensor(x), axis=-1).data
+        x64 = x.astype(np.float64)
+        e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert ((want > 0) & (want < tiny)).any()  # the textbook rows hold subnormals
+        assert not ((got > 0) & (got < tiny)).any()
+        rounding = 4 * np.finfo(dtype).eps * want
+        assert (np.abs(got - want) <= lk * tiny + rounding).all()
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 10 ** 6))
     def test_rows_sum_to_one(self, rows, cols, seed):

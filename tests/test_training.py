@@ -29,7 +29,7 @@ from incepformer.errors import (
     ContractError,
 )
 from incepformer.gradcheck import check_function
-from incepformer.metrics import ConfusionMatrix, class_map, eval_miou
+from incepformer.metrics import CLASS_BLOCK, ConfusionMatrix, class_map, eval_miou, label_map
 from incepformer.model import build_model
 from incepformer.tensor import GradTape, Tensor, backward
 from incepformer.train import (
@@ -329,6 +329,19 @@ class TestMIoU:
         ties = rng.integers(-1, 2, (k, 9, 11)).astype(dtype)
         ties[:, 0, :] = 1.0  # every class ties on the first row
         np.testing.assert_array_equal(class_map(ties), np.argmax(ties, axis=0))
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 13, 150])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_label_map_equals_argmax_of_full_upsample(self, k, dtype):
+        # K = 13 and 150 end on a partial class block; sizes are non-square,
+        # and upsampled with factors of 4 and 8 where halves and quarters of
+        # small integers tie exactly.
+        assert 13 % CLASS_BLOCK and 150 % CLASS_BLOCK
+        rng = np.random.default_rng(k)
+        for logits in (rng.standard_normal((1, k, 5, 7)), rng.integers(-1, 2, (1, k, 5, 7))):
+            x = Tensor(logits, dtype=dtype)
+            full = T.bilinear_upsample(x, 20, 56).data[0]
+            np.testing.assert_array_equal(label_map(x.data[0], 20, 56), np.argmax(full, axis=0))
 
 
 class TestCheckpoint:
