@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from . import tensor as T
 from .analysis import count_params, emit_report, estimate_flops
 from .checkpoint import atomic_write
 from .config import PRESETS, check_input_size, load_model_config
@@ -114,9 +113,7 @@ def _cmd_gradcheck(args) -> int:
     labels = rng.integers(0, cfg.num_classes, (2, h, w))
 
     def loss_fn():
-        logits = model(image)
-        up = T.bilinear_upsample(logits, h, w, align_corners=False)
-        return cross_entropy(up, labels)
+        return cross_entropy(model(image), labels)
 
     rows += check_model_gradients(model, loss_fn)
     width = max(len(r.name) for r in rows)

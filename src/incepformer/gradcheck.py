@@ -15,6 +15,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError
 from .tensor import GradTape, Tensor, backward
+from .train import cross_entropy
 
 # Denominator floor: below this scale the comparison is effectively absolute,
 # which keeps finite-difference roundoff from failing near-zero gradients.
@@ -159,6 +160,11 @@ def check_op_gradients(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> lis
         return T.batch_norm2d(x, g, b, rm, rv, mode="eval", eps=1e-5)
 
     run("batch_norm2d_eval", bn_eval, _rand(rng, (2, 3, 3, 2)), _rand(rng, (3,)), _rand(rng, (3,)))
+
+    # The loss upsamples [2, 3, 3, 4] logits to 7x10, a non-integer ratio.
+    labels = rng.integers(0, 3, (2, 7, 10))
+    labels[rng.random(labels.shape) < 0.2] = 255
+    run("cross_entropy_upsample", lambda x: cross_entropy(x, labels), _rand(rng, (2, 3, 3, 4)))
     return rows
 
 

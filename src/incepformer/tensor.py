@@ -822,7 +822,8 @@ def interp_matrix(in_size: int, out_size: int, align_corners: bool, dtype=np.flo
 
 @lru_cache(maxsize=512)
 def _interp_matrix_cached(in_size: int, out_size: int, align_corners: bool, dtype_name: str) -> np.ndarray:
-    """Read-only `interp_matrix` for `bilinear_upsample`'s few model sizes."""
+    """Read-only `interp_matrix` for the few model sizes of `bilinear_upsample`
+    and `train.cross_entropy`."""
     w = interp_matrix(in_size, out_size, align_corners, dtype_name)
     w.setflags(write=False)
     return w

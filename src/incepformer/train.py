@@ -106,17 +106,32 @@ def adamw_step(params: ParameterStore, grads: Mapping[str, np.ndarray],
     state.step = t
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:
-    """Mean pixelwise negative log-likelihood over the non-ignored pixels.
+# Values of one block of upsampled logit rows, over the batch, in cross_entropy.
+LOSS_BLOCK_VALUES = 1 << 18
 
-    logits: [N, K, H, W]; labels: integer [N, H, W].
+
+def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:
+    """Mean pixelwise negative log-likelihood over the non-ignored pixels of
+    the bilinear (half-pixel) upsample of `logits` to the label size.
+
+    logits: [N, K, h, w]; labels: integer [N, H, W].  At h, w = H, W the
+    interpolation matrices are identities and this is the plain loss.
+
+    The upsampled [N, K, H, W] logits are never held whole: both passes
+    work on blocks of output rows (one GEMM each over the band of input rows
+    they read), and the backward recomputes each block, keeping only the
+    per-pixel log-sum-exp.  No check of the blocks' finiteness is needed:
+    bilinear weights are convex, so finite logits (checked by the op that
+    made them) upsample to finite values, and the loss is checked.
     """
     if logits.ndim != 4:
         raise ContractError(f"logits must be [N, K, H, W], got {logits.shape}")
     n, k, h, w = logits.shape
     labels = np.asarray(labels)
-    if labels.shape != (n, h, w):
-        raise ContractError(f"labels shape {labels.shape} != {(n, h, w)}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must have an integer dtype, got {labels.dtype}")
+    if labels.ndim != 3 or labels.shape[0] != n:
+        raise ContractError(f"labels must be [N, H, W] for logits {logits.shape}, got {labels.shape}")
     mask = labels != ignore_index
     if not mask.any():
         raise ContractError("all pixels are ignored; the mean loss is undefined")
@@ -125,23 +140,57 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -
         raise ContractError(f"label values must lie in [0, {k}) or equal {ignore_index}")
 
     x = logits.data
-    shifted = x - x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
+    _, out_h, out_w = labels.shape
+    wh = T._interp_matrix_cached(h, out_h, False, x.dtype.name)
+    ww = T._interp_matrix_cached(w, out_w, False, x.dtype.name)
     safe = np.where(mask, labels, 0)
-    picked = np.take_along_axis(logp, safe[:, None], axis=1)[:, 0]
+    step = max(1, LOSS_BLOCK_VALUES // (n * k * out_w))
+    blocks = []
+    for r0 in range(0, out_h, step):
+        r1 = min(r0 + step, out_h)
+        band = np.flatnonzero(wh[r0:r1].any(axis=0))
+        blocks.append((r0, r1, band[0], band[-1] + 1))
+
+    def widen():
+        """The width upsample, once per pass: [N, h, K * W]."""
+        return np.matmul(x.transpose(0, 2, 1, 3), ww.T).reshape(n, h, k * out_w)
+
+    def rows(xw, r0, r1, c0, c1):
+        """The upsampled logits of rows r0:r1, as [N, rows, K, W]."""
+        return np.matmul(wh[r0:r1, c0:c1], xw[:, c0:c1]).reshape(n, r1 - r0, k, out_w)
+
+    def label_at(r0, r1):
+        """Flat positions of each pixel's label logit in a `rows` block."""
+        image_row = np.arange(n * (r1 - r0)).reshape(n, r1 - r0, 1)
+        return (image_row * k + safe[:, r0:r1]) * out_w + np.arange(out_w)
+
+    xw = widen()
+    log_z = np.empty((n, out_h, out_w), dtype=x.dtype)  # max + log-sum-exp
+    total = 0.0
+    for r0, r1, c0, c1 in blocks:
+        z = rows(xw, r0, r1, c0, c1)
+        picked = z.reshape(-1)[label_at(r0, r1)]
+        m = z.max(axis=2)
+        z -= m[:, :, None]
+        np.exp(z, out=z)
+        log_z[:, r0:r1] = m + np.log(z.sum(axis=2))
+        total += float(((log_z[:, r0:r1] - picked) * mask[:, r0:r1]).sum())
     count = int(mask.sum())
-    loss = np.asarray(-(picked * mask).sum() / count, dtype=x.dtype)
+    loss = np.asarray(total / count, dtype=x.dtype)
 
     def bwd(g):
-        prob = np.exp(logp)
-        grad = prob * mask[:, None]
-        np.put_along_axis(
-            grad, safe[:, None],
-            np.take_along_axis(grad, safe[:, None], axis=1) - mask[:, None],
-            axis=1,
-        )
-        return ((g / count) * grad.astype(x.dtype, copy=False),)
+        xw = widen()
+        gxw = np.zeros_like(xw)
+        for r0, r1, c0, c1 in blocks:
+            p = rows(xw, r0, r1, c0, c1)
+            p -= log_z[:, r0:r1, None]
+            np.exp(p, out=p)
+            p *= mask[:, r0:r1, None]
+            p.reshape(-1)[label_at(r0, r1)] -= mask[:, r0:r1]
+            gxw[:, c0:c1] += np.matmul(wh[r0:r1, c0:c1].T, p.reshape(n, r1 - r0, -1))
+        gx = np.matmul(gxw.reshape(n, h, k, out_w), ww)
+        gx *= g / count
+        return (gx.transpose(0, 2, 1, 3),)
 
     return record_op(loss, (logits,), bwd, "cross_entropy")
 
@@ -203,8 +252,11 @@ def train(
 ) -> TrainResult:
     """Iterate the dataset with wrap-around batches until cfg.max_iters.
 
-    Each iteration: augment -> forward -> cross-entropy on logits upsampled
-    to the crop size -> backward -> AdamW with the poly learning rate.
+    Each iteration: augment -> forward -> `cross_entropy` of the
+    1/4-resolution logits against the crop-size labels, i.e. over the
+    logits' bilinear upsample to the crop (bilinear weights are convex, so
+    with the logits and the loss both checked no intermediate needs a
+    check) -> backward -> AdamW with the poly learning rate.
     `snapshot_at=(k, path)` additionally writes a checkpoint once k
     iterations have completed; resuming from it reproduces the rest of the
     run bit for bit.
@@ -218,7 +270,6 @@ def train(
     start = 0
     if resume_from is not None:
         start = load_training_checkpoint(resume_from, model, state)
-    ch, cw = cfg.crop
     history: list[float] = []
     model.train()
     for it in range(start, cfg.max_iters):
@@ -232,8 +283,7 @@ def train(
         try:
             with GradTape() as tape:
                 logits = model(Tensor(images, dtype=dtype))
-                up = T.bilinear_upsample(logits, ch, cw, align_corners=False)
-                loss = cross_entropy(up, labels, cfg.ignore_index)
+                loss = cross_entropy(logits, labels, cfg.ignore_index)
             backward(loss, tape)
         except NumericsError as e:
             raise NumericsError(f"training aborted at iteration {it}: {e}") from e

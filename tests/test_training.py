@@ -1,8 +1,10 @@
 """Synthetic data, augmentation, loss, optimizer, metrics, checkpoints and
 the training loop."""
 
+import importlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,9 @@ from incepformer.train import (
     train,
 )
 
+
+# The module, not the `train` function that the package exports under its name.
+train_mod = importlib.import_module("incepformer.train")
 
 # 28 bytes: magic, one tensor named "w" of rank 3 declaring dims (2^32 - 1)^3.
 HOSTILE_CKPT = MAGIC + struct.pack("<IHcB3I", 1, 1, b"w", 3, *[2**32 - 1] * 3)
@@ -172,6 +177,81 @@ class TestCrossEntropy:
         labels[0, 0, 0] = 255
         rows = check_function(lambda args: cross_entropy(args[0], labels), [logits], "ce")
         assert all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
+
+    @pytest.mark.parametrize("labels", [np.zeros((1, 2, 2)) + 0.5, np.ones((1, 2, 2), dtype=bool)])
+    def test_non_integer_labels_rejected(self, labels):
+        logits = Tensor(np.zeros((1, 2, 2, 2)), dtype="f64")
+        with pytest.raises(ContractError, match="integer dtype"):
+            cross_entropy(logits, labels)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2), (2, 2, 2)])
+    def test_labels_not_n_h_w_rejected(self, shape):
+        logits = Tensor(np.zeros((1, 2, 2, 2)), dtype="f64")
+        with pytest.raises(ContractError) as err:
+            cross_entropy(logits, np.zeros(shape, dtype=np.int64))
+        assert str((1, 2, 2, 2)) in str(err.value) and str(shape) in str(err.value)
+
+    @pytest.mark.parametrize("n, k, h, w, out_h, out_w, block_rows", [
+        (2, 4, 5, 3, 5, 3, 2),      # ratio 1
+        (2, 4, 3, 5, 12, 20, 5),    # ratio 4, blocks of 5, 5 and 2 rows
+        (2, 4, 3, 4, 7, 10, 3),     # non-integer ratios
+        (2, 150, 4, 6, 16, 24, 3),  # K = 150, ratio 4
+    ])
+    def test_equals_unfused_composition(self, n, k, h, w, out_h, out_w, block_rows, monkeypatch):
+        monkeypatch.setattr(train_mod, "LOSS_BLOCK_VALUES", n * block_rows * k * out_w)
+        rng = np.random.default_rng(out_h)
+        x = 3.0 * rng.standard_normal((n, k, h, w))
+        labels = rng.integers(0, k, (n, out_h, out_w))
+        labels[rng.random(labels.shape) < 0.2] = 255
+        logits = Tensor(x, dtype="f64", requires_grad=True)
+        with GradTape() as tape:
+            loss = cross_entropy(logits, labels)
+        backward(loss, tape)
+
+        # Unfused: the full upsample, then the textbook log-softmax.  The
+        # logits gradient is the upsample's adjoint of d loss / d up.
+        ref = Tensor(x, dtype="f64", requires_grad=True)
+        with GradTape() as tape:
+            up = T.bilinear_upsample(ref, out_h, out_w)
+            shifted = up.data - up.data.max(axis=1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            mask = labels != 255
+            onehot = np.arange(k)[None, :, None, None] == labels[:, None]
+            count = mask.sum()
+            want = -(logp * onehot).sum() / count
+            dup = (np.exp(logp) - onehot) * mask[:, None] / count
+            pulled = T.tsum(T.mul(up, Tensor(dup, dtype="f64")))
+        backward(pulled, tape)
+        assert loss.item() == pytest.approx(want, rel=1e-12, abs=0)
+        np.testing.assert_allclose(logits.grad, ref.grad, rtol=0, atol=1e-12)
+
+    def test_gradcheck_upsampled_ragged_blocks(self, monkeypatch):
+        # 4x: 3x4 logits to 12x16 labels, blocks of 5, 5 and 2 rows.
+        monkeypatch.setattr(train_mod, "LOSS_BLOCK_VALUES", 2 * 5 * 3 * 16)
+        rng = np.random.default_rng(2)
+        logits = Tensor(rng.standard_normal((2, 3, 3, 4)), dtype="f64", requires_grad=True)
+        labels = rng.integers(0, 3, (2, 12, 16))
+        labels[0, :4] = 255
+        rows = check_function(lambda args: cross_entropy(args[0], labels), [logits], "ce")
+        assert all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
+
+    def test_peak_allocation_below_one_full_plane(self):
+        # [1, 150, 64, 64] logits scored against 256x256 labels in f32: the
+        # unfused composition holds several [150, 256, 256] planes at once.
+        plane = 150 * 256 * 256 * 4
+        rng = np.random.default_rng(0)
+        logits = Tensor(rng.standard_normal((1, 150, 64, 64)), dtype="f32", requires_grad=True)
+        labels = rng.integers(0, 150, (1, 256, 256))
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                loss = cross_entropy(logits, labels)
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.grad.shape == logits.shape
+        assert peak < plane, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPolyLR:
