@@ -41,14 +41,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="incepformer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    model_help = f"preset name ({', '.join(sorted(PRESETS))}) or JSON config path"
+
     def common(p, model_default):
-        p.add_argument("--model", default=model_default,
-                       help=f"preset name ({', '.join(sorted(PRESETS))}) or JSON config path")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--model", default=model_default, help=model_help)
+        p.add_argument("--seed", type=int, default=0, help="non-negative")
         p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
 
     p = sub.add_parser("analyze", help="parameter counts and FLOP estimates")
-    common(p, "ipt-t")
+    p.add_argument("--model", default="ipt-t", help=model_help)
     p.add_argument("--input", default=None, help="input size WxH for FLOP estimation")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -206,12 +207,17 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (IncepFormerError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

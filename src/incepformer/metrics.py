@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, NumericsError
 from .tensor import Tensor
 
 
@@ -48,45 +48,17 @@ class ConfusionMatrix:
         return float(per_class[present].mean()), per_class
 
 
-def class_map(scores) -> np.ndarray:
-    """np.argmax over classes of finite class scores: a [K, H, W] array, or
-    any iterable of its [H, W] planes in class order.
-
-    A running maximum over the K class planes reads each plane once,
-    contiguously, where argmax over axis 0 strides across all K planes for
-    every pixel.  A strict `>` keeps the lowest index on ties, as argmax does.
-    """
-    planes = iter(scores)
-    best = next(planes).copy()
-    labels = np.zeros(best.shape, dtype=np.intp)
-    better = np.empty(best.shape, dtype=bool)
-    for k, plane in enumerate(planes, start=1):
-        np.greater(plane, best, out=better)
-        np.copyto(labels, k, where=better)
-        np.maximum(best, plane, out=best)
-    return labels
-
-
-# Classes upsampled together by `label_map`: 8 MiB of f32 planes at 512x512.
-# For 150 classes from 128x128 to 512x512, blocks of 4 and 8 timed alike
-# and blocks of 16 and 32 slower (2-core Xeon VM).
-CLASS_BLOCK = 8
-
-
 def label_map(logits: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Predicted class of each pixel of [K, h, w] logits resized to
-    out_h x out_w: bitwise `class_map` of their `bilinear_upsample`.
-
-    `bilinear_upsample` runs on CLASS_BLOCK classes at a time (the same
-    cached matrices and per-plane products, and its finiteness check), and
-    each block feeds the running maximum of `class_map`; so no
-    [K, out_h, out_w] array exists.
-    """
-    def planes():
-        for k in range(0, logits.shape[0], CLASS_BLOCK):
-            yield from T.bilinear_upsample(Tensor(logits[None, k:k + CLASS_BLOCK]), out_h, out_w).data[0]
-
-    return class_map(planes())
+    out_h x out_w: the argmax over classes (ties go to the lowest index) of
+    each row block of their `T.row_bands` resize, each checked finite."""
+    walk = T.row_bands((1,) + logits.shape, out_h, out_w, logits.dtype)[0]
+    labels = np.empty((out_h, out_w), dtype=np.intp)
+    for (r0, r1, _, _), z in walk(logits[None]):
+        if not T.all_finite(z):
+            raise NumericsError("label_map: the resized logits hold non-finite values")
+        labels[r0:r1] = z[0].argmax(axis=1)
+    return labels
 
 
 @dataclass

@@ -823,10 +823,47 @@ def interp_matrix(in_size: int, out_size: int, align_corners: bool, dtype=np.flo
 @lru_cache(maxsize=512)
 def _interp_matrix_cached(in_size: int, out_size: int, align_corners: bool, dtype_name: str) -> np.ndarray:
     """Read-only `interp_matrix` for the few model sizes of `bilinear_upsample`
-    and `train.cross_entropy`."""
+    and `row_bands`."""
     w = interp_matrix(in_size, out_size, align_corners, dtype_name)
     w.setflags(write=False)
     return w
+
+
+# Values of one block of resized rows, over the batch, in row_bands.
+ROW_BLOCK_VALUES = 1 << 18
+
+
+def row_bands(shape: tuple, out_h: int, out_w: int, dtype: np.dtype):
+    """(walk, pull_back) of the bilinear (half-pixel) resize of [N, K, h, w]
+    arrays to out_h x out_w, in blocks of output rows; no full-size array is held.
+
+    walk(x) resizes the width once, then yields ((r0, r1, c0, c1), rows) per
+    block of at most ROW_BLOCK_VALUES values: rows is a fresh [N, r1 - r0, K,
+    out_w] array, one product over the input rows c0:c1 that they read.
+    pull_back(pairs of block and gradient of its rows) is the adjoint: the
+    gradient of x, [N, K, h, w] as a transposed view.
+    """
+    n, k, h, w = shape
+    wh = _interp_matrix_cached(h, out_h, False, dtype.name)
+    ww = _interp_matrix_cached(w, out_w, False, dtype.name)
+    step = max(1, ROW_BLOCK_VALUES // (n * k * out_w))
+    blocks = []
+    for r0 in range(0, out_h, step):
+        band = np.flatnonzero(wh[r0:r0 + step].any(axis=0))
+        blocks.append((r0, min(r0 + step, out_h), band[0], band[-1] + 1))
+
+    def walk(x):
+        xw = np.matmul(x.transpose(0, 2, 1, 3), ww.T).reshape(n, h, k * out_w)
+        for r0, r1, c0, c1 in blocks:
+            yield (r0, r1, c0, c1), np.matmul(wh[r0:r1, c0:c1], xw[:, c0:c1]).reshape(n, r1 - r0, k, out_w)
+
+    def pull_back(pairs):
+        gxw = np.zeros((n, h, k * out_w), dtype=wh.dtype)
+        for (r0, r1, c0, c1), g in pairs:
+            gxw[:, c0:c1] += np.matmul(wh[r0:r1, c0:c1].T, g.reshape(n, r1 - r0, -1))
+        return np.matmul(gxw.reshape(n, h, k, out_w), ww).transpose(0, 2, 1, 3)
+
+    return walk, pull_back
 
 
 def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = False) -> Tensor:

@@ -48,8 +48,13 @@ class TrainConfig:
         check_input_size(*self.crop, "crop")
         if self.max_iters < 1 or self.batch_size < 1:
             raise ConfigError("max_iters and batch_size must be >= 1")
-        if self.base_lr <= 0 or self.power < 0 or self.eps <= 0:
-            raise ConfigError("base_lr and eps must be positive, power non-negative")
+        # Every comparison with NaN is False, and `x < math.inf` rejects inf.
+        if not (0 < self.base_lr < math.inf and 0 < self.eps < math.inf):
+            raise ConfigError(f"base_lr and eps must be finite and positive, got {self.base_lr}, {self.eps}")
+        if not (0 <= self.power < math.inf and 0 <= self.weight_decay < math.inf and self.seed >= 0):
+            raise ConfigError("power, weight_decay and seed must be finite and non-negative")
+        if not all(0 <= b < 1 for b in self.betas):
+            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
 
 
 @dataclass
@@ -106,10 +111,6 @@ def adamw_step(params: ParameterStore, grads: Mapping[str, np.ndarray],
     state.step = t
 
 
-# Values of one block of upsampled logit rows, over the batch, in cross_entropy.
-LOSS_BLOCK_VALUES = 1 << 18
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:
     """Mean pixelwise negative log-likelihood over the non-ignored pixels of
     the bilinear (half-pixel) upsample of `logits` to the label size.
@@ -118,15 +119,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -
     interpolation matrices are identities and this is the plain loss.
 
     The upsampled [N, K, H, W] logits are never held whole: both passes
-    work on blocks of output rows (one GEMM each over the band of input rows
-    they read), and the backward recomputes each block, keeping only the
-    per-pixel log-sum-exp.  No check of the blocks' finiteness is needed:
-    bilinear weights are convex, so finite logits (checked by the op that
-    made them) upsample to finite values, and the loss is checked.
+    take them block by block of output rows from `T.row_bands`, and the
+    backward recomputes each block, keeping only the per-pixel log-sum-exp.
+    No check of the blocks' finiteness is needed: bilinear weights are
+    convex, so finite logits (checked by the op that made them) upsample to
+    finite values, and the loss is checked.
     """
     if logits.ndim != 4:
         raise ContractError(f"logits must be [N, K, H, W], got {logits.shape}")
-    n, k, h, w = logits.shape
+    n, k = logits.shape[:2]
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractError(f"labels must have an integer dtype, got {labels.dtype}")
@@ -141,34 +142,17 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -
 
     x = logits.data
     _, out_h, out_w = labels.shape
-    wh = T._interp_matrix_cached(h, out_h, False, x.dtype.name)
-    ww = T._interp_matrix_cached(w, out_w, False, x.dtype.name)
+    walk, pull_back = T.row_bands(x.shape, out_h, out_w, x.dtype)
     safe = np.where(mask, labels, 0)
-    step = max(1, LOSS_BLOCK_VALUES // (n * k * out_w))
-    blocks = []
-    for r0 in range(0, out_h, step):
-        r1 = min(r0 + step, out_h)
-        band = np.flatnonzero(wh[r0:r1].any(axis=0))
-        blocks.append((r0, r1, band[0], band[-1] + 1))
-
-    def widen():
-        """The width upsample, once per pass: [N, h, K * W]."""
-        return np.matmul(x.transpose(0, 2, 1, 3), ww.T).reshape(n, h, k * out_w)
-
-    def rows(xw, r0, r1, c0, c1):
-        """The upsampled logits of rows r0:r1, as [N, rows, K, W]."""
-        return np.matmul(wh[r0:r1, c0:c1], xw[:, c0:c1]).reshape(n, r1 - r0, k, out_w)
 
     def label_at(r0, r1):
-        """Flat positions of each pixel's label logit in a `rows` block."""
+        """Flat positions of each pixel's label logit in a block of rows."""
         image_row = np.arange(n * (r1 - r0)).reshape(n, r1 - r0, 1)
         return (image_row * k + safe[:, r0:r1]) * out_w + np.arange(out_w)
 
-    xw = widen()
     log_z = np.empty((n, out_h, out_w), dtype=x.dtype)  # max + log-sum-exp
     total = 0.0
-    for r0, r1, c0, c1 in blocks:
-        z = rows(xw, r0, r1, c0, c1)
+    for (r0, r1, _, _), z in walk(x):
         picked = z.reshape(-1)[label_at(r0, r1)]
         m = z.max(axis=2)
         z -= m[:, :, None]
@@ -178,19 +162,19 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -
     count = int(mask.sum())
     loss = np.asarray(total / count, dtype=x.dtype)
 
-    def bwd(g):
-        xw = widen()
-        gxw = np.zeros_like(xw)
-        for r0, r1, c0, c1 in blocks:
-            p = rows(xw, r0, r1, c0, c1)
+    def grads():
+        """Gradient of the summed loss for each block of upsampled rows."""
+        for (r0, r1, c0, c1), p in walk(x):
             p -= log_z[:, r0:r1, None]
             np.exp(p, out=p)
             p *= mask[:, r0:r1, None]
             p.reshape(-1)[label_at(r0, r1)] -= mask[:, r0:r1]
-            gxw[:, c0:c1] += np.matmul(wh[r0:r1, c0:c1].T, p.reshape(n, r1 - r0, -1))
-        gx = np.matmul(gxw.reshape(n, h, k, out_w), ww)
+            yield (r0, r1, c0, c1), p
+
+    def bwd(g):
+        gx = pull_back(grads())
         gx *= g / count
-        return (gx.transpose(0, 2, 1, 3),)
+        return (gx,)
 
     return record_op(loss, (logits,), bwd, "cross_entropy")
 

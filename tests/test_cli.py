@@ -127,8 +127,9 @@ class TestGradcheckCommand:
         parser = _build_parser()
         assert parser.parse_args(["gradcheck"]).dtype == "f64"
         assert parser.parse_args(["gradcheck", "--dtype", "f32"]).dtype == "f32"
-        for command in ("analyze", "train", "eval"):
+        for command in ("train", "eval"):
             assert parser.parse_args([command]).dtype == "f32"
+        assert not hasattr(parser.parse_args(["analyze"]), "dtype")
 
     def test_tiny_config_passes(self, tiny_config_path, capsys):
         code = run_cli(["gradcheck", "--model", tiny_config_path, "--dtype", "f64",
@@ -361,6 +362,43 @@ class TestExitCodes:
         assert run_cli([a.format(image=image, out=tmp_path / "mask.pgm") for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "multiples of 32" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--iters", "1", "--checkpoint", "{out}"],
+        ["eval"],
+        ["gradcheck"],
+        ["infer", "{image}", "--out", "{out}"],
+    ], ids=["train", "eval", "gradcheck", "infer"])
+    def test_negative_seed(self, argv, tmp_path, capsys):
+        image = tmp_path / "image.pgm"
+        write_pgm(str(image), np.zeros((32, 32), dtype=np.uint8))
+        out = tmp_path / "out"
+        assert run_cli([a.format(image=image, out=out) for a in argv] + ["--seed", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_writes_no_checkpoint(self, lr, tmp_path, capsys):
+        ckpt = tmp_path / "c.ckpt"
+        assert run_cli(["train", "--iters", "1", "--lr", lr, "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "base_lr" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+        monkeypatch.setattr(cli_mod, "make_synth_dataset", exhausted)
+        assert run_cli(["eval", "--crop", "64x64"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "16.0 GiB" in err
+
+    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--dtype", "f64"]])
+    def test_analyze_takes_no_seed_or_dtype(self, flag, capsys):
+        assert run_cli(["analyze"] + flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
     def test_hostile_input_file(self, case, tmp_path, capsys):

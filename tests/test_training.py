@@ -1,7 +1,6 @@
 """Synthetic data, augmentation, loss, optimizer, metrics, checkpoints and
 the training loop."""
 
-import importlib
 import math
 import struct
 import tracemalloc
@@ -29,9 +28,10 @@ from incepformer.errors import (
     CheckpointShapeError,
     CheckpointTruncatedError,
     ContractError,
+    NumericsError,
 )
 from incepformer.gradcheck import check_function
-from incepformer.metrics import CLASS_BLOCK, ConfusionMatrix, class_map, eval_miou, label_map
+from incepformer.metrics import ConfusionMatrix, eval_miou, label_map
 from incepformer.model import build_model
 from incepformer.tensor import GradTape, Tensor, backward
 from incepformer.train import (
@@ -45,9 +45,6 @@ from incepformer.train import (
     train,
 )
 
-
-# The module, not the `train` function that the package exports under its name.
-train_mod = importlib.import_module("incepformer.train")
 
 # 28 bytes: magic, one tensor named "w" of rank 3 declaring dims (2^32 - 1)^3.
 HOSTILE_CKPT = MAGIC + struct.pack("<IHcB3I", 1, 1, b"w", 3, *[2**32 - 1] * 3)
@@ -198,7 +195,7 @@ class TestCrossEntropy:
         (2, 150, 4, 6, 16, 24, 3),  # K = 150, ratio 4
     ])
     def test_equals_unfused_composition(self, n, k, h, w, out_h, out_w, block_rows, monkeypatch):
-        monkeypatch.setattr(train_mod, "LOSS_BLOCK_VALUES", n * block_rows * k * out_w)
+        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", n * block_rows * k * out_w)
         rng = np.random.default_rng(out_h)
         x = 3.0 * rng.standard_normal((n, k, h, w))
         labels = rng.integers(0, k, (n, out_h, out_w))
@@ -227,7 +224,7 @@ class TestCrossEntropy:
 
     def test_gradcheck_upsampled_ragged_blocks(self, monkeypatch):
         # 4x: 3x4 logits to 12x16 labels, blocks of 5, 5 and 2 rows.
-        monkeypatch.setattr(train_mod, "LOSS_BLOCK_VALUES", 2 * 5 * 3 * 16)
+        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 2 * 5 * 3 * 16)
         rng = np.random.default_rng(2)
         logits = Tensor(rng.standard_normal((2, 3, 3, 4)), dtype="f64", requires_grad=True)
         labels = rng.integers(0, 3, (2, 12, 16))
@@ -399,29 +396,28 @@ class TestMIoU:
         with pytest.raises(ContractError):
             eval_miou(model, [], tcfg())
 
-    @pytest.mark.parametrize("k", [1, 2, 5, 150])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_class_map_equals_argmax(self, k, dtype):
-        rng = np.random.default_rng(k)
-        scores = rng.standard_normal((k, 9, 11)).astype(dtype)
-        np.testing.assert_array_equal(class_map(scores), np.argmax(scores, axis=0))
-        # Three values only: most pixels tie, and the first maximum must win.
-        ties = rng.integers(-1, 2, (k, 9, 11)).astype(dtype)
-        ties[:, 0, :] = 1.0  # every class ties on the first row
-        np.testing.assert_array_equal(class_map(ties), np.argmax(ties, axis=0))
-
     @pytest.mark.parametrize("k", [1, 3, 8, 13, 150])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_label_map_equals_argmax_of_full_upsample(self, k, dtype):
-        # K = 13 and 150 end on a partial class block; sizes are non-square,
-        # and upsampled with factors of 4 and 8 where halves and quarters of
-        # small integers tie exactly.
-        assert 13 % CLASS_BLOCK and 150 % CLASS_BLOCK
+    def test_label_map_equals_argmax_of_full_upsample(self, k, dtype, monkeypatch):
+        # Blocks of 6, 6, 6 and 2 rows; sizes are non-square, and upsampled
+        # with factors of 4 and 8 where halves and quarters of small
+        # integers tie exactly, so the integer logits check that ties go to
+        # the lowest class index.
+        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 6 * k * 56)
         rng = np.random.default_rng(k)
         for logits in (rng.standard_normal((1, k, 5, 7)), rng.integers(-1, 2, (1, k, 5, 7))):
             x = Tensor(logits, dtype=dtype)
+            walk = T.row_bands(x.shape, 20, 56, x.dtype)[0]
+            assert [r1 - r0 for (r0, r1, _, _), _ in walk(x.data)] == [6, 6, 6, 2]
             full = T.bilinear_upsample(x, 20, 56).data[0]
             np.testing.assert_array_equal(label_map(x.data[0], 20, 56), np.argmax(full, axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_label_map_rejects_non_finite_logits(self, dtype):
+        logits = np.zeros((3, 5, 7), dtype=dtype)
+        logits[1, 4, 6] = np.nan
+        with pytest.raises(NumericsError, match="label_map"):
+            label_map(logits, 20, 28)
 
 
 class TestCheckpoint:
@@ -580,6 +576,19 @@ class TestTrainLoop:
 
         with pytest.raises(ConfigError, match="crop"):
             tcfg(crop=crop).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_lr", math.nan), ("base_lr", math.inf), ("base_lr", 0.0),
+        ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -5.0),
+        ("eps", math.nan), ("eps", math.inf), ("power", math.nan), ("power", math.inf),
+        ("betas", (math.nan, 0.999)), ("betas", (0.9, math.nan)), ("betas", (1.5, 2.0)),
+        ("betas", (-0.1, 0.999)), ("seed", -1),
+    ])
+    def test_optimizer_fields_and_seed_validated(self, field, value):
+        from incepformer.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=field):
+            tcfg(**{field: value}).validate()
 
     def test_f32_step_leaves_f32_grads(self):
         ds = make_synth_dataset(2, 64, 64, 2, seed=9)
