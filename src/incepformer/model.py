@@ -229,7 +229,17 @@ class FeaturePyramid:
 
 class Decoder(Module):
     """Upsample every pyramid level to 1/4 resolution, concatenate along
-    channels, then two 1x1 convolutions down to class logits."""
+    channels, then two 1x1 convolutions down to class logits.
+
+    With no tape active, this runs one block of 1/4-resolution rows at a
+    time, each block's concat at most `T.ROW_BLOCK_VALUES` values: every
+    level's rows of the upsample (`bilinear_upsample(rows=)`), their concat,
+    `fuse` and `classify`; the block logits are concatenated along H.  So
+    no full-size concat or `fuse` output is held.  A 1x1 conv acts on each
+    pixel alone, so the blocks differ from one whole forward by float
+    rounding at most.  Under a tape there is one block: the backward keeps
+    every block's inputs, so blocking would save nothing there.
+    """
 
     def __init__(self, cfg: ModelConfig, init: InitCtx):
         self.fuse = Conv2d(cfg.concat_channels, cfg.decoder_channels, 1, init=init)
@@ -244,9 +254,14 @@ class Decoder(Module):
                 raise ShapeError(
                     f"pyramid level {i} has spatial {f.shape[2:]}, expected {expect}"
                 )
-        ups = [T.bilinear_upsample(f, h4, w4, align_corners=False) for f in feats]
-        fused = self.fuse(T.concat(ups, axis=1))
-        return self.classify(fused)
+        n, c = feats[0].shape[0], sum(f.shape[1] for f in feats)
+        step = h4 if T.active_tape() is not None else max(1, T.ROW_BLOCK_VALUES // (n * c * w4))
+        blocks = []
+        for r0 in range(0, h4, step):
+            rows = (r0, min(r0 + step, h4))
+            ups = [T.bilinear_upsample(f, h4, w4, rows=rows) for f in feats]
+            blocks.append(self.classify(self.fuse(T.concat(ups, axis=1))))
+        return blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=2)
 
     __call__ = forward
 

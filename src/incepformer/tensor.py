@@ -829,8 +829,15 @@ def _interp_matrix_cached(in_size: int, out_size: int, align_corners: bool, dtyp
     return w
 
 
-# Values of one block of resized rows, over the batch, in row_bands.
+# Values of one block of resized rows, over the batch, in row_bands; also
+# of one block of the decoder's concatenated levels (model.Decoder).
 ROW_BLOCK_VALUES = 1 << 18
+
+
+def _band(wh: np.ndarray, r0: int, r1: int) -> tuple:
+    """(c0, c1): the input rows that rows r0:r1 of interpolation matrix wh read."""
+    band = np.flatnonzero(wh[r0:r1].any(axis=0))
+    return int(band[0]), int(band[-1]) + 1
 
 
 def row_bands(shape: tuple, out_h: int, out_w: int, dtype: np.dtype):
@@ -847,10 +854,7 @@ def row_bands(shape: tuple, out_h: int, out_w: int, dtype: np.dtype):
     wh = _interp_matrix_cached(h, out_h, False, dtype.name)
     ww = _interp_matrix_cached(w, out_w, False, dtype.name)
     step = max(1, ROW_BLOCK_VALUES // (n * k * out_w))
-    blocks = []
-    for r0 in range(0, out_h, step):
-        band = np.flatnonzero(wh[r0:r0 + step].any(axis=0))
-        blocks.append((r0, min(r0 + step, out_h), band[0], band[-1] + 1))
+    blocks = [(r0, min(r0 + step, out_h)) + _band(wh, r0, r0 + step) for r0 in range(0, out_h, step)]
 
     def walk(x):
         xw = np.matmul(x.transpose(0, 2, 1, 3), ww.T).reshape(n, h, k * out_w)
@@ -866,22 +870,46 @@ def row_bands(shape: tuple, out_h: int, out_w: int, dtype: np.dtype):
     return walk, pull_back
 
 
-def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = False) -> Tensor:
-    """Bilinear resize of [N, C, H, W] to [N, C, out_h, out_w]."""
+def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = False,
+                      rows: Optional[tuple] = None) -> Tensor:
+    """Bilinear resize of [N, C, H, W] to [N, C, out_h, out_w], or only its
+    output rows r0:r1 when rows=(r0, r1) is given: [N, C, r1 - r0, out_w].
+
+    A block of rows is one product with the band of input rows that they
+    read (as in `row_bands`), so it costs its share of the whole resize and
+    equals the same rows of it up to float rounding.  Its backward is the
+    adjoint, zero outside that band.
+    """
     if x.ndim != 4:
         raise ShapeError(f"bilinear_upsample expects 4-D input, got {x.shape}")
     out_h, out_w = int(out_h), int(out_w)
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"output size must be >= 1, got {out_h}x{out_w}")
-    _, _, h, w = x.shape
+    n, c, h, w = x.shape
     name = x.data.dtype.name
     wh = _interp_matrix_cached(h, out_h, align_corners, name)
     ww = _interp_matrix_cached(w, out_w, align_corners, name)
-    # Separable interpolation as two matrix products.
-    out = np.matmul(np.matmul(wh, x.data), ww.T)
+    if rows is None:
+        r0, r1, c0, c1 = 0, out_h, 0, h
+    else:
+        r0, r1 = (int(r) for r in rows)
+        if not 0 <= r0 < r1 <= out_h:
+            raise ShapeError(f"bilinear_upsample rows {rows} need 0 <= r0 < r1 <= {out_h}")
+        c0, c1 = _band(wh, r0, r1)
+    wb = wh[r0:r1, c0:c1]
+    # Separable interpolation as two matrix products.  The width product is
+    # one [N*C*rows, W] GEMM, not one per channel: with OpenBLAS 0.3.31 the
+    # per-channel products of a few rows rounded unlike those of all rows,
+    # while the one GEMM gives a block bitwise the rows of the whole resize.
+    out = np.matmul(np.matmul(wb, x.data[:, :, c0:c1]).reshape(-1, w), ww.T).reshape(n, c, r1 - r0, out_w)
 
     def bwd(g):
-        return (np.matmul(np.matmul(wh.T, g), ww),)
+        gb = np.matmul(np.matmul(wb.T, g), ww)
+        if (c0, c1) == (0, h):
+            return (gb,)
+        gx = np.zeros(x.shape, dtype=gb.dtype)
+        gx[:, :, c0:c1] = gb
+        return (gx,)
 
     return record_op(out, (x,), bwd, "bilinear_upsample")
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,56 @@ class TestEncoderDecoder:
         model = build_model(ipt_t(num_classes=150), seed=0)
         assert model.decoder.fuse.weight.shape == (512, 1024, 1, 1)
         assert 64 + 128 + 320 + 512 == 1024
+
+    @staticmethod
+    def _pyramid(cfg, h4, w4, dtype):
+        rng = np.random.default_rng(h4)
+        levels = [rng.standard_normal((1, sc.channels, h4 >> i, w4 >> i)) for i, sc in enumerate(cfg.stages)]
+        return model_mod.FeaturePyramid(*[Tensor(a, dtype=dtype, requires_grad=True) for a in levels])
+
+    DECODER_OPS = ["bilinear_upsample"] * 4 + ["concat", "conv2d", "conv2d"]
+
+    def test_decoder_no_tape_row_blocks_match_one_block(self, monkeypatch):
+        # A 16x24 map in blocks of 5 rows: 5, 5, 5 and 1.
+        cfg = micro(num_classes=5)
+        dec = model_mod.Decoder(cfg, make_init(41))
+        pyr = self._pyramid(cfg, 16, 24, "f64")
+        classified = []
+        classify = dec.classify
+        monkeypatch.setattr(dec, "classify", lambda x: classified.append(x.shape[2]) or classify(x))
+        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 5 * cfg.concat_channels * 24)
+        got = dec(pyr).data
+        assert classified == [5, 5, 5, 1]
+        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 1 << 40)
+        one = dec(pyr).data
+        assert classified[4:] == [16]
+        assert got.shape == one.shape == (1, 5, 16, 24)
+        np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
+
+    def test_decoder_tape_records_one_block(self, monkeypatch):
+        cfg = micro(num_classes=5)
+        dec = model_mod.Decoder(cfg, make_init(42))
+        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 1)
+        with GradTape() as tape:
+            out = dec(self._pyramid(cfg, 16, 24, "f64"))
+        assert [node.name for node in tape.nodes] == self.DECODER_OPS
+        assert out.shape == (1, 5, 16, 24)
+
+    def test_decoder_no_tape_peak_below_one_concat(self):
+        # ipt-t levels of a 256x256 input; one whole forward holds the
+        # upsampled levels, their [1, 1024, 64, 64] concat and fuse's output.
+        cfg = ipt_t()
+        dec = model_mod.Decoder(cfg, make_init(43, dtype="f32"))
+        pyr = self._pyramid(cfg, 64, 64, "f32")
+        concat = cfg.concat_channels * 64 * 64 * 4
+        tracemalloc.start()
+        try:
+            out = dec(pyr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 150, 64, 64)
+        assert peak < concat, f"peak {peak / 2**20:.1f} MiB"
 
     def test_mask_resolution_arithmetic(self):
         # 512x512 with 150 classes maps to 150 x 128 x 128 logits

@@ -11,6 +11,7 @@ from oracles import avg_pool_loops, bilinear_pixel_oracle, conv2d_loops, int_val
 
 from incepformer import tensor as T
 from incepformer.errors import ConfigError, ContractError, NumericsError, ShapeError
+from incepformer.gradcheck import check_function
 from incepformer.modules import Conv2d
 from incepformer.tensor import Tensor
 
@@ -398,6 +399,39 @@ class TestBilinear:
         got = T.bilinear_upsample(t64(x[None, None]), 3, 2)
         want = bilinear_pixel_oracle(x, 3, 2, False)
         np.testing.assert_allclose(got.data[0, 0], want, atol=1e-12)
+
+    @pytest.mark.parametrize("h, w, out_h, out_w", [
+        (5, 3, 10, 6),     # 2x
+        (3, 4, 12, 16),    # 4x
+        (2, 3, 16, 24),    # 8x
+        (4, 6, 7, 10),     # non-integer ratios
+        (17, 9, 5, 4),     # downsampling: the first and last blocks read a band
+    ])
+    def test_row_blocks_equal_rows_of_full(self, h, w, out_h, out_w):
+        # Blocks of 3 rows, the last one ragged unless 3 divides out_h.
+        x = t64(np.random.default_rng(out_h).standard_normal((2, 3, h, w)))
+        full = T.bilinear_upsample(x, out_h, out_w).data
+        for r0 in range(0, out_h, 3):
+            r1 = min(r0 + 3, out_h)
+            got = T.bilinear_upsample(x, out_h, out_w, rows=(r0, r1)).data
+            assert got.shape == (2, 3, r1 - r0, out_w)
+            np.testing.assert_allclose(got, full[:, :, r0:r1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [(6, 10), (0, 16), (15, 16)])
+    def test_row_block_gradcheck_4x(self, rows):
+        # 4x3 to 16x12: rows 6:10 read input rows 1:3 only, so the adjoint
+        # is zero on rows 0 and 3.
+        rng = np.random.default_rng(11)
+        x = t64(rng.standard_normal((2, 2, 4, 3)), grad=True)
+        weight = t64(rng.standard_normal((2, 2, rows[1] - rows[0], 12)))
+        rows_out = check_function(
+            lambda a: T.tsum(T.mul(T.bilinear_upsample(a[0], 16, 12, rows=rows), weight)), [x], "up_rows")
+        assert all(r.ok for r in rows_out), [(r.name, r.rel_err) for r in rows_out]
+
+    @pytest.mark.parametrize("rows", [(3, 3), (4, 2), (-1, 2), (0, 13), (12, 13)])
+    def test_empty_or_out_of_range_rows_rejected(self, rows):
+        with pytest.raises(ShapeError, match="rows"):
+            T.bilinear_upsample(t64(np.zeros((1, 1, 3, 4))), 12, 16, rows=rows)
 
 
 class TestUnaryMaps:

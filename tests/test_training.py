@@ -396,13 +396,13 @@ class TestMIoU:
         with pytest.raises(ContractError):
             eval_miou(model, [], tcfg())
 
-    @pytest.mark.parametrize("k", [1, 3, 8, 13, 150])
+    @pytest.mark.parametrize("k", [1, 3, 8, 13, 150, 300])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_label_map_equals_argmax_of_full_upsample(self, k, dtype, monkeypatch):
         # Blocks of 6, 6, 6 and 2 rows; sizes are non-square, and upsampled
         # with factors of 4 and 8 where halves and quarters of small
         # integers tie exactly, so the integer logits check that ties go to
-        # the lowest class index.
+        # the lowest class index.  K = 300 needs class indices above 255.
         monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 6 * k * 56)
         rng = np.random.default_rng(k)
         for logits in (rng.standard_normal((1, k, 5, 7)), rng.integers(-1, 2, (1, k, 5, 7))):

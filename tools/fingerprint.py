@@ -11,7 +11,10 @@ Prints one line per fingerprint:
   the R=1 reduction bypassed f32 x3, micro with reductions (3, 3, 3, 1)
   f32 x3 (stages 1-3 zero-pad before reducing) and ipt-t f32 x2 iterations.
 * the SHA-256 of the eval-mode logits of one image for ipt-t f32 at
-  512x512 and micro f64 at 64x64 (BatchNorm eval in both dtypes).
+  512x512 and micro f64 at 64x64 (BatchNorm eval in both dtypes), and of
+  the ipt-t logits' `label_map` at 512x512.  A change to how the forward
+  blocks its products moves the logits by float rounding, and so their
+  hash, but should leave the labels as they are.
 * the SHA-256 of every `emit_report` format of `count_params` and of
   `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset
   as is, without biases, with overlapping patch embeds, with the R=1
@@ -38,6 +41,7 @@ import numpy as np
 from incepformer import TrainConfig, build_model, ipt_t, make_synth_dataset, micro, train
 from incepformer.analysis import count_params, emit_report, estimate_flops
 from incepformer.config import PRESETS
+from incepformer.metrics import label_map
 from incepformer.tensor import Tensor
 
 SEED = 3
@@ -75,12 +79,15 @@ def train_fingerprint(cfg, dtype: str, iters: int) -> str:
     return " ".join([float(v).hex() for v in result.history] + [digest])
 
 
-def eval_fingerprint(cfg, dtype: str, size: int) -> str:
+def sha256_array(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def eval_logits(cfg, dtype: str, size: int) -> np.ndarray:
     model = build_model(cfg, seed=SEED, dtype=dtype)
     model.eval()
     image = make_synth_dataset(1, size, size, cfg.num_classes, SEED)[0].image
-    logits = model(Tensor(image[None], dtype=dtype))
-    return hashlib.sha256(logits.data.tobytes()).hexdigest()
+    return model(Tensor(image[None], dtype=dtype)).data
 
 
 def analyze_fingerprint() -> str:
@@ -96,8 +103,11 @@ def analyze_fingerprint() -> str:
 def main():
     for name, cfg, dtype, iters in RUNS:
         print(f"train {name} x{iters}: {train_fingerprint(cfg, dtype, iters)}", flush=True)
-    print(f"eval ipt-t 512x512 logits: {eval_fingerprint(ipt_t(), 'f32', 512)}", flush=True)
-    print(f"eval micro-f64 64x64 logits: {eval_fingerprint(micro(), 'f64', 64)}", flush=True)
+    logits = eval_logits(ipt_t(), "f32", 512)
+    print(f"eval ipt-t 512x512 logits: {sha256_array(logits)}", flush=True)
+    labels = label_map(logits[0], 512, 512).astype(np.int64)
+    print(f"eval ipt-t 512x512 labels: {sha256_array(labels)}", flush=True)
+    print(f"eval micro-f64 64x64 logits: {sha256_array(eval_logits(micro(), 'f64', 64))}", flush=True)
     print(f"analyze {len(ANALYZE_CONFIGS)} configs: {analyze_fingerprint()}", flush=True)
 
 
