@@ -25,7 +25,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import CheckpointError, CheckpointMagicError, CheckpointShapeError, CheckpointTruncatedError
-from .tensor import all_finite
 
 MAGIC = b"IPTCKPT1"
 MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
@@ -110,7 +109,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
                     f"only {size - fh.tell()} left in the file")
             payload = _read(fh, nbytes)
             arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-            if not all_finite(arr):
+            if not np.isfinite(arr).all():
                 raise CheckpointError(f"tensor {name!r} holds non-finite values")
             tensors[name] = arr
         (iteration,) = struct.unpack("<Q", _read(fh, 8))

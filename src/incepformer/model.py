@@ -19,14 +19,6 @@ from .errors import ConfigError, ShapeError
 from .modules import BatchNorm2d, Conv2d, InitCtx, LayerNorm, Module
 from .tensor import Tensor, resolve_dtype
 
-# Score values per query block of an attention forward with no tape active
-# (see IncepMHSA.attend): 2 MiB of f32 scores, a per-core L2 cache on the
-# Xeon this was tuned on.  There the attention of an ipt-t 512x512 forward
-# took 0.49 s per forward at 2^19 and 2^20, 0.54 s at 2^18 and 0.69 s
-# unblocked (medians of 6).
-ATTN_BLOCK_SCORES = 1 << 19
-
-
 class PatchEmbed(Module):
     """Strided projection between stages (x4 into stage 1, x2 afterwards)."""
 
@@ -126,14 +118,13 @@ class IncepMHSA(Module):
         input).
 
         With no tape active, scores, softmax and the weights-by-values
-        product run one block of query rows at a time, each block at most
-        ATTN_BLOCK_SCORES score values, so a block's scores stay in cache
-        instead of one [N, heads, L, Lk] array being paged in whole; the
-        block contexts are concatenated along the query axis.  Each row's
-        softmax is exact; the blocked products differ from the whole one
-        by float rounding at most.  Under a tape there is one block: the
-        backward keeps every block's weights, so blocking would save
-        nothing there.
+        product run one block of query rows at a time, each block's scores
+        at most `T.BLOCK_BYTES`, so they stay in cache instead of one
+        [N, heads, L, Lk] array being paged in whole; the block contexts
+        are concatenated along the query axis.  Each row's softmax is
+        exact; the blocked products differ from the whole one by float
+        rounding at most.  Under a tape there is one block: the backward
+        keeps every block's weights, so blocking would save nothing there.
         """
         n, l, c = q_tokens.shape
         q = T.scale(T.linear(q_tokens, self.wq, self.bq), 1.0 / math.sqrt(self.head_dim))
@@ -144,7 +135,8 @@ class IncepMHSA(Module):
         qh = T.transpose(T.reshape(q, (n, l, hd, dk)), (0, 2, 1, 3))
         kt = T.transpose(T.reshape(k, (n, lk, hd, dk)), (0, 2, 3, 1))
         vh = T.transpose(T.reshape(v, (n, lk, hd, dk)), (0, 2, 1, 3))
-        rows = l if T.active_tape() is not None else max(1, ATTN_BLOCK_SCORES // (n * hd * lk))
+        row_bytes = q.dtype.itemsize * n * hd * lk
+        rows = l if T.active_tape() is not None else max(1, T.BLOCK_BYTES // row_bytes)
         blocks = []
         for i in range(0, l, rows):
             # Not an op: with no tape active, no gradient flows to a block's queries.
@@ -232,13 +224,13 @@ class Decoder(Module):
     channels, then two 1x1 convolutions down to class logits.
 
     With no tape active, this runs one block of 1/4-resolution rows at a
-    time, each block's concat at most `T.ROW_BLOCK_VALUES` values: every
+    time, each block's concat at most `T.BLOCK_BYTES`: every
     level's rows of the upsample (`bilinear_upsample(rows=)`), their concat,
     `fuse` and `classify`; the block logits are concatenated along H.  So
     no full-size concat or `fuse` output is held.  A 1x1 conv acts on each
     pixel alone, so the blocks differ from one whole forward by float
-    rounding at most.  Under a tape there is one block: the backward keeps
-    every block's inputs, so blocking would save nothing there.
+    rounding at most.  Under a tape there is one block, which measures
+    faster in the training step than blocks do.
     """
 
     def __init__(self, cfg: ModelConfig, init: InitCtx):
@@ -255,7 +247,8 @@ class Decoder(Module):
                     f"pyramid level {i} has spatial {f.shape[2:]}, expected {expect}"
                 )
         n, c = feats[0].shape[0], sum(f.shape[1] for f in feats)
-        step = h4 if T.active_tape() is not None else max(1, T.ROW_BLOCK_VALUES // (n * c * w4))
+        row_bytes = feats[0].dtype.itemsize * n * c * w4
+        step = h4 if T.active_tape() is not None else max(1, T.BLOCK_BYTES // row_bytes)
         blocks = []
         for r0 in range(0, h4, step):
             rows = (r0, min(r0 + step, h4))

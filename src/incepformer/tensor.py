@@ -26,6 +26,14 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 GELU_COEF = 0.7978845608028654  # sqrt(2/pi)
 GELU_CUBIC = 0.044715
 
+# Bytes of the working set of one block, for every blocked loop: channel
+# blocks of the depthwise conv, row blocks of `row_bands`, and, with no
+# tape active, the decoder's row blocks and attention's query blocks
+# (model.py).  Each loop sizes its blocks from it in bytes, so an f64 block
+# holds half the values of an f32 one.  It is of the order of one core's L2
+# cache, so a block's repeated passes read from cache instead of memory.
+BLOCK_BYTES = 1 << 21
+
 
 def resolve_dtype(dtype) -> np.dtype:
     """Accept 'f32'/'f64' strings or numpy float dtypes."""
@@ -139,38 +147,16 @@ def active_tape() -> Optional[GradTape]:
     return _ACTIVE_TAPE
 
 
-# Elements per isfinite pass of all_finite.
-FINITE_CHUNK = 1 << 16
-
-
-def all_finite(a: np.ndarray) -> bool:
-    """np.isfinite(a).all(), tested FINITE_CHUNK elements at a time.
-
-    A full-size bool mask of a large array costs more than the test itself
-    (its fresh pages fault in on every call); a chunk's mask is reused and
-    stays in cache.  Arrays of one chunk or less take the plain expression.
-    """
-    if a.size <= FINITE_CHUNK:
-        return bool(np.isfinite(a).all())
-    flat = a.reshape(-1)
-    mask = np.empty(FINITE_CHUNK, dtype=bool)
-    for i in range(0, flat.size, FINITE_CHUNK):
-        part = flat[i : i + FINITE_CHUNK]
-        if not np.isfinite(part, out=mask[: part.size]).all():
-            return False
-    return True
-
-
 def _check_finite(data: np.ndarray, op: str):
-    if not all_finite(data):
+    if not np.isfinite(data).all():
         raise NumericsError(f"{op} produced non-finite values")
 
 
 def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, name: str) -> Tensor:
     """Wrap `data` as an op result, recording `backward_fn` on the active tape.
 
-    `data` may have any layout; the result holds a C-contiguous copy.  Its
-    finiteness check (`all_finite`) builds no full-size bool mask.
+    `data` may have any layout; the result holds a C-contiguous copy.  A
+    non-finite value in it raises NumericsError naming the op.
     `backward_fn(grad_out)` must return one gradient array (or None) per
     input, each matching that input's shape, in any layout (views included).
     This is the extension point used by ops defined outside this module
@@ -298,40 +284,14 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU under the tanh approximation (closed-form derivative).
-
-    Forward (t and the output, plus a transient 1 + t) and backward (two
-    buffers) compute in place, in the operation order of the expressions in
-    the comments, so results are bitwise those of evaluating them directly.
-    """
+    """GELU under the tanh approximation (closed-form derivative)."""
     d = x.data
-    # t = tanh(GELU_COEF * (d + GELU_CUBIC * d * d * d))
-    t = np.multiply(d, GELU_CUBIC)
-    t *= d
-    t *= d
-    t += d
-    t *= GELU_COEF
-    np.tanh(t, out=t)
-    # out = 0.5 * d * (1.0 + t)
-    out = np.multiply(d, 0.5)
-    out *= np.add(t, 1.0)
+    t = np.tanh(GELU_COEF * (d + GELU_CUBIC * d * d * d))
+    out = 0.5 * d * (1.0 + t)
 
     def bwd(g):
-        # local = 0.5 * (1 + t) + 0.5 * d * (1 - t * t) * GELU_COEF * (1 + 3 * GELU_CUBIC * d * d)
-        local = np.multiply(t, t)
-        np.subtract(1.0, local, out=local)
-        buf = np.multiply(d, 0.5)
-        local *= buf
-        np.multiply(d, 3.0 * GELU_CUBIC, out=buf)
-        buf *= d
-        buf += 1.0
-        buf *= GELU_COEF
-        local *= buf
-        np.add(t, 1.0, out=buf)
-        buf *= 0.5
-        local += buf
-        local *= g
-        return (local,)
+        local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * d * d))
+        return (g * local,)
 
     return record_op(out, (x,), bwd, "gelu")
 
@@ -570,27 +530,25 @@ def conv2d(
     return record_op(out, inputs, bwd, "conv2d")
 
 
-# Working-set budget of a depthwise conv channel block: its padded input
-# planes plus two output-sized planes (output and product buffer), so the
-# Kh*Kw tap passes over one block stay in a per-core L2 cache (2 MiB on
-# the Xeon this was tuned on).
-DW_BLOCK_BYTES = 1 << 20
-
-
 def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
     """groups == Cin == Cout: the sum of Kh*Kw shifted, strided slices of
     the padded input, each scaled by its per-channel tap.
 
     At stride 1 a tap reads whole padded rows: its slice is one contiguous
     run of Ho*Wp values per flattened plane, so the output is computed
-    Wp wide and the columns past Wo are dropped at the end.
+    Wp wide and the columns past Wo are dropped at the end.  These wide
+    runs cost the extra columns but measure faster than 2-D strided tap
+    slices, in the training step most of all.
 
     The forward and the input gradient make all Kh*Kw tap passes over one
-    channel block (see DW_BLOCK_BYTES) before the next; each element sees
-    the same operations in the same order whatever the block size, so the
-    results are bitwise those of one block.  The weight gradient reduces
-    each tap over whole arrays, because einsum's summation order depends on
-    the operand layout and per-block calls would change it by rounding.
+    channel block before the next.  A block's padded input planes plus two
+    output-sized planes (output and product buffer) take at most
+    BLOCK_BYTES, so these passes read from cache; this measures faster
+    than one block in the eval forward.  Each element sees the same
+    operations in the same order whatever the block size, so the results
+    are bitwise those of one block.  The weight gradient reduces each tap
+    over whole arrays, because einsum's summation order depends on the
+    operand layout and per-block calls would change it by rounding.
     """
     n, c, h, wdt = x.shape
     kh, kw = w.shape[2:]
@@ -604,7 +562,7 @@ def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
     else:
         xp = x
     per_channel = n * (xp.shape[2] * xp.shape[3] + 2 * ho * cols) * xp.itemsize
-    cb = min(c, max(1, DW_BLOCK_BYTES // per_channel))
+    cb = min(c, max(1, BLOCK_BYTES // per_channel))
     blocks = [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
     taps = [(u, v) for u in range(kh) for v in range(kw)]
 
@@ -829,11 +787,6 @@ def _interp_matrix_cached(in_size: int, out_size: int, align_corners: bool, dtyp
     return w
 
 
-# Values of one block of resized rows, over the batch, in row_bands; also
-# of one block of the decoder's concatenated levels (model.Decoder).
-ROW_BLOCK_VALUES = 1 << 18
-
-
 def _band(wh: np.ndarray, r0: int, r1: int) -> tuple:
     """(c0, c1): the input rows that rows r0:r1 of interpolation matrix wh read."""
     band = np.flatnonzero(wh[r0:r1].any(axis=0))
@@ -845,15 +798,16 @@ def row_bands(shape: tuple, out_h: int, out_w: int, dtype: np.dtype):
     arrays to out_h x out_w, in blocks of output rows; no full-size array is held.
 
     walk(x) resizes the width once, then yields ((r0, r1, c0, c1), rows) per
-    block of at most ROW_BLOCK_VALUES values: rows is a fresh [N, r1 - r0, K,
-    out_w] array, one product over the input rows c0:c1 that they read.
+    block of at most BLOCK_BYTES (at least one row): rows is a fresh
+    [N, r1 - r0, K, out_w] array, one product over the input rows c0:c1
+    that they read.
     pull_back(pairs of block and gradient of its rows) is the adjoint: the
     gradient of x, [N, K, h, w] as a transposed view.
     """
     n, k, h, w = shape
     wh = _interp_matrix_cached(h, out_h, False, dtype.name)
     ww = _interp_matrix_cached(w, out_w, False, dtype.name)
-    step = max(1, ROW_BLOCK_VALUES // (n * k * out_w))
+    step = max(1, BLOCK_BYTES // (dtype.itemsize * n * k * out_w))
     blocks = [(r0, min(r0 + step, out_h)) + _band(wh, r0, r0 + step) for r0 in range(0, out_h, step)]
 
     def walk(x):

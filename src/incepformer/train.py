@@ -275,8 +275,6 @@ def train(
         grads = {name: p.grad for name, p in store.items()}
         adamw_step(store, grads, state, lr, cfg)
         value = loss.item()
-        if not math.isfinite(value):
-            raise NumericsError(f"training aborted at iteration {it}: non-finite loss")
         history.append(value)
         if log is not None:
             log(it, lr, value)

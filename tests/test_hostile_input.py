@@ -2,6 +2,7 @@
 readers (checkpoints, netpbm images, model configs) raise only
 IncepFormerError or OSError subclasses, never a raw Python exception."""
 
+import itertools
 import struct
 
 import pytest
@@ -22,7 +23,14 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("hostile")
 
 
-def read_or_typed_error(reader, path, payload: bytes):
+# A fresh file per example: rewriting one file that holds data forces a
+# flush on filesystems that guard truncate-and-rewrite (ext4's
+# auto_da_alloc), which costs far more than the read under test.
+_NAMES = itertools.count()
+
+
+def read_or_typed_error(reader, workdir, suffix: str, payload: bytes):
+    path = workdir / f"{next(_NAMES)}{suffix}"
     path.write_bytes(payload)
     try:
         reader(str(path))
@@ -50,7 +58,7 @@ def checkpoint_files(draw):
 @EXAMPLES
 @given(checkpoint_files())
 def test_load_checkpoint_raises_only_typed_errors(workdir, payload):
-    read_or_typed_error(load_checkpoint, workdir / "x.ckpt", payload)
+    read_or_typed_error(load_checkpoint, workdir, ".ckpt", payload)
 
 
 @st.composite
@@ -72,7 +80,7 @@ def netpbm_files(draw):
 @EXAMPLES
 @given(netpbm_files())
 def test_read_image_raises_only_typed_errors(workdir, payload):
-    read_or_typed_error(read_image, workdir / "x.pgm", payload)
+    read_or_typed_error(read_image, workdir, ".pgm", payload)
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)

@@ -272,10 +272,10 @@ class TestIncepMHSA:
                   "reshape", "transpose", "matmul", "softmax", "matmul", "transpose", "reshape", "linear"]
 
     def _blocked_setup(self, monkeypatch):
-        """Two heads, 10 queries, 3 keys; a block of 3 query rows (18 scores),
-        so four blocks, the last of one row."""
+        """Two heads, 10 queries, 3 keys; a block of 3 query rows (18 f64
+        scores), so four blocks, the last of one row."""
         attn = IncepMHSA(4, 2, 2, make_init(31), eps=1e-5)
-        monkeypatch.setattr(model_mod, "ATTN_BLOCK_SCORES", 3 * 2 * 3)
+        monkeypatch.setattr(T, "BLOCK_BYTES", 3 * 2 * 3 * 8)
         softmaxes = []
         softmax = T.softmax
 
@@ -290,7 +290,7 @@ class TestIncepMHSA:
         attn, q, kv, softmaxes = self._blocked_setup(monkeypatch)
         got = attn.attend(q, kv).data
         assert [s[2] for s in softmaxes] == [3, 3, 3, 1]
-        monkeypatch.setattr(model_mod, "ATTN_BLOCK_SCORES", 1 << 40)
+        monkeypatch.setattr(T, "BLOCK_BYTES", 1 << 40)
         one = attn.attend(q, kv).data
         assert len(softmaxes) == 5
         np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
@@ -302,6 +302,23 @@ class TestIncepMHSA:
             attn.attend(q, kv)
         assert [node.name for node in tape.nodes] == self.ATTEND_OPS
         assert [s[2] for s in softmaxes] == [10]
+
+    def test_blocks_sized_in_bytes(self, monkeypatch):
+        # A row of either loop here holds 60 values: 3 channels x 20 columns
+        # of the resize, 2 heads x 30 keys of attention's scores.  At one
+        # BLOCK_BYTES, a block holds 4 such rows in f32 and 2 in f64.
+        monkeypatch.setattr(T, "BLOCK_BYTES", 4 * 4 * 3 * 20)
+        softmaxes = []
+        softmax = T.softmax
+        monkeypatch.setattr(T, "softmax", lambda x, axis: softmaxes.append(x.shape[2]) or softmax(x, axis))
+        for dtype, rows in (("f32", 4), ("f64", 2)):
+            walk = T.row_bands((1, 3, 4, 5), 16, 20, T.resolve_dtype(dtype))[0]
+            x = np.ones((1, 3, 4, 5), dtype=T.DTYPES[dtype])
+            assert [r1 - r0 for (r0, r1, _, _), _ in walk(x)] == [rows] * (16 // rows)
+            softmaxes.clear()
+            attn = IncepMHSA(4, 2, 1, make_init(34, dtype=dtype), eps=1e-5)
+            attn.attend(rand_t((1, 8, 4), seed=35, dtype=dtype), rand_t((1, 30, 4), seed=36, dtype=dtype))
+            assert softmaxes == [rows] * (8 // rows)
 
     def test_kv_vs_query_counts_full_scale(self):
         # stage-1 geometry of a 512x512 input: 128x128 tokens, R=8
@@ -458,10 +475,10 @@ class TestEncoderDecoder:
         classified = []
         classify = dec.classify
         monkeypatch.setattr(dec, "classify", lambda x: classified.append(x.shape[2]) or classify(x))
-        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 5 * cfg.concat_channels * 24)
+        monkeypatch.setattr(T, "BLOCK_BYTES", 5 * cfg.concat_channels * 24 * 8)
         got = dec(pyr).data
         assert classified == [5, 5, 5, 1]
-        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 1 << 40)
+        monkeypatch.setattr(T, "BLOCK_BYTES", 1 << 40)
         one = dec(pyr).data
         assert classified[4:] == [16]
         assert got.shape == one.shape == (1, 5, 16, 24)
@@ -470,7 +487,7 @@ class TestEncoderDecoder:
     def test_decoder_tape_records_one_block(self, monkeypatch):
         cfg = micro(num_classes=5)
         dec = model_mod.Decoder(cfg, make_init(42))
-        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 1)
+        monkeypatch.setattr(T, "BLOCK_BYTES", 1)
         with GradTape() as tape:
             out = dec(self._pyramid(cfg, 16, 24, "f64"))
         assert [node.name for node in tape.nodes] == self.DECODER_OPS

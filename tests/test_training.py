@@ -195,7 +195,7 @@ class TestCrossEntropy:
         (2, 150, 4, 6, 16, 24, 3),  # K = 150, ratio 4
     ])
     def test_equals_unfused_composition(self, n, k, h, w, out_h, out_w, block_rows, monkeypatch):
-        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", n * block_rows * k * out_w)
+        monkeypatch.setattr(T, "BLOCK_BYTES", n * block_rows * k * out_w * 8)
         rng = np.random.default_rng(out_h)
         x = 3.0 * rng.standard_normal((n, k, h, w))
         labels = rng.integers(0, k, (n, out_h, out_w))
@@ -224,7 +224,7 @@ class TestCrossEntropy:
 
     def test_gradcheck_upsampled_ragged_blocks(self, monkeypatch):
         # 4x: 3x4 logits to 12x16 labels, blocks of 5, 5 and 2 rows.
-        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 2 * 5 * 3 * 16)
+        monkeypatch.setattr(T, "BLOCK_BYTES", 2 * 5 * 3 * 16 * 8)
         rng = np.random.default_rng(2)
         logits = Tensor(rng.standard_normal((2, 3, 3, 4)), dtype="f64", requires_grad=True)
         labels = rng.integers(0, 3, (2, 12, 16))
@@ -403,7 +403,7 @@ class TestMIoU:
         # with factors of 4 and 8 where halves and quarters of small
         # integers tie exactly, so the integer logits check that ties go to
         # the lowest class index.  K = 300 needs class indices above 255.
-        monkeypatch.setattr(T, "ROW_BLOCK_VALUES", 6 * k * 56)
+        monkeypatch.setattr(T, "BLOCK_BYTES", 6 * k * 56 * np.dtype(T.DTYPES[dtype]).itemsize)
         rng = np.random.default_rng(k)
         for logits in (rng.standard_normal((1, k, 5, 7)), rng.integers(-1, 2, (1, k, 5, 7))):
             x = Tensor(logits, dtype=dtype)
@@ -554,6 +554,12 @@ class TestTrainLoop:
         assert all(math.isfinite(v) for v in res.history)
         assert [l[0] for l in logged] == [0, 1, 2, 3]
         assert logged[0][1] == pytest.approx(1e-3)
+
+    def test_non_finite_image_aborts_naming_iteration(self):
+        ds = make_synth_dataset(2, 64, 64, 2, seed=6)
+        ds[0] = SegSample(image=np.full_like(ds[0].image, np.nan), label=ds[0].label)
+        with pytest.raises(NumericsError, match="iteration 0"):
+            train(micro(num_classes=2), tcfg(max_iters=1), ds)
 
     def test_wraparound_batching(self):
         ds = make_synth_dataset(3, 64, 64, 2, seed=5)  # smaller than iters*batch
