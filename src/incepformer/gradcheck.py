@@ -25,8 +25,8 @@ REL_ERR_FLOOR = 1e-4
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar-valued `f` at `x`.
 
-    `x.data` is perturbed in place one coordinate at a time and restored, so
-    `f` may close over `x` directly.
+    `x.data` is perturbed in place one coordinate at a time and restored,
+    also when `f` raises, so `f` may close over `x` directly.
     """
     if h <= 0:
         raise ConfigError("finite_diff_grad step h must be positive")
@@ -35,11 +35,13 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x))
-        flat[i] = orig - h
-        fm = float(f(x))
-        flat[i] = orig
+        try:
+            flat[i] = orig + h
+            fp = float(f(x))
+            flat[i] = orig - h
+            fm = float(f(x))
+        finally:
+            flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
 
@@ -129,6 +131,7 @@ def check_op_gradients(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> lis
     run("reshape", lambda x: T.reshape(x, (4, 3)), _rand(rng, (3, 4)))
     run("transpose", lambda x: T.transpose(x, (1, 0, 2)), _rand(rng, (2, 3, 2)))
     run("concat", lambda a, b: T.concat([a, b], axis=1), _rand(rng, (2, 3)), _rand(rng, (2, 2)))
+    run("slice_rows", lambda x: T.slice_rows(x, 1, 3), _rand(rng, (2, 4, 3)))
     run("pad2d", lambda x: T.pad2d(x, (1, 2, 0, 1)), _rand(rng, (1, 2, 3, 3)))
     run("matmul", T.matmul_batched, _rand(rng, (2, 3, 4)), _rand(rng, (2, 4, 2)))
     run("linear", T.linear, _rand(rng, (2, 3, 4)), _rand(rng, (4, 5)), _rand(rng, (5,)))

@@ -117,14 +117,12 @@ class IncepMHSA(Module):
         rounding, over far fewer values (Lk is 768 at stage 1 of a 512x512
         input).
 
-        With no tape active, scores, softmax and the weights-by-values
-        product run one block of query rows at a time, each block's scores
-        at most `T.BLOCK_BYTES`, so they stay in cache instead of one
-        [N, heads, L, Lk] array being paged in whole; the block contexts
-        are concatenated along the query axis.  Each row's softmax is
-        exact; the blocked products differ from the whole one by float
-        rounding at most.  Under a tape there is one block: the backward
-        keeps every block's weights, so blocking would save nothing there.
+        Scores, softmax and the weights-by-values product run one block of
+        query rows at a time, each block's scores at most `T.BLOCK_BYTES`,
+        so they stay in cache instead of one [N, heads, L, Lk] array being
+        paged in whole; the block contexts are concatenated along the query
+        axis.  Each row's softmax is exact; the blocked products differ
+        from the whole one by float rounding at most.
         """
         n, l, c = q_tokens.shape
         q = T.scale(T.linear(q_tokens, self.wq, self.bq), 1.0 / math.sqrt(self.head_dim))
@@ -136,11 +134,10 @@ class IncepMHSA(Module):
         kt = T.transpose(T.reshape(k, (n, lk, hd, dk)), (0, 2, 3, 1))
         vh = T.transpose(T.reshape(v, (n, lk, hd, dk)), (0, 2, 1, 3))
         row_bytes = q.dtype.itemsize * n * hd * lk
-        rows = l if T.active_tape() is not None else max(1, T.BLOCK_BYTES // row_bytes)
+        rows = max(1, T.BLOCK_BYTES // row_bytes)
         blocks = []
         for i in range(0, l, rows):
-            # Not an op: with no tape active, no gradient flows to a block's queries.
-            qb = qh if rows >= l else Tensor(qh.data[:, :, i:i + rows])
+            qb = qh if rows >= l else T.slice_rows(qh, i, min(i + rows, l))
             blocks.append(T.matmul_batched(T.softmax(T.matmul_batched(qb, kt), axis=-1), vh))
         ctx = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=2)
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, l, c))
@@ -223,14 +220,14 @@ class Decoder(Module):
     """Upsample every pyramid level to 1/4 resolution, concatenate along
     channels, then two 1x1 convolutions down to class logits.
 
-    With no tape active, this runs one block of 1/4-resolution rows at a
-    time, each block's concat at most `T.BLOCK_BYTES`: every
-    level's rows of the upsample (`bilinear_upsample(rows=)`), their concat,
-    `fuse` and `classify`; the block logits are concatenated along H.  So
-    no full-size concat or `fuse` output is held.  A 1x1 conv acts on each
-    pixel alone, so the blocks differ from one whole forward by float
-    rounding at most.  Under a tape there is one block, which measures
-    faster in the training step than blocks do.
+    This runs one block of 1/4-resolution rows at a time, each block's
+    concat at most `T.BLOCK_BYTES`: every level's rows of the upsample
+    (`bilinear_upsample(rows=)`), their concat, `fuse` and `classify`; the
+    block logits are concatenated along H.  So no full-size concat or
+    `fuse` output is held (a tape keeps each block's until the backward,
+    which then takes one block's gradients at a time).  A 1x1 conv acts on
+    each pixel alone, so the blocks differ from one whole forward by float
+    rounding at most.
     """
 
     def __init__(self, cfg: ModelConfig, init: InitCtx):
@@ -248,7 +245,7 @@ class Decoder(Module):
                 )
         n, c = feats[0].shape[0], sum(f.shape[1] for f in feats)
         row_bytes = feats[0].dtype.itemsize * n * c * w4
-        step = h4 if T.active_tape() is not None else max(1, T.BLOCK_BYTES // row_bytes)
+        step = max(1, T.BLOCK_BYTES // row_bytes)
         blocks = []
         for r0 in range(0, h4, step):
             rows = (r0, min(r0 + step, h4))

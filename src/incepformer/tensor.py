@@ -26,9 +26,9 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 GELU_COEF = 0.7978845608028654  # sqrt(2/pi)
 GELU_CUBIC = 0.044715
 
-# Bytes of the working set of one block, for every blocked loop: channel
-# blocks of the depthwise conv, row blocks of `row_bands`, and, with no
-# tape active, the decoder's row blocks and attention's query blocks
+# Bytes of the working set of one block, for every blocked loop, in training
+# and evaluation alike: channel blocks of the depthwise conv, row blocks of
+# `row_bands`, the decoder's row blocks and attention's query blocks
 # (model.py).  Each loop sizes its blocks from it in bytes, so an f64 block
 # holds half the values of an f32 one.  It is of the order of one core's L2
 # cache, so a block's repeated passes read from cache instead of memory.
@@ -155,7 +155,8 @@ def _check_finite(data: np.ndarray, op: str):
 def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, name: str) -> Tensor:
     """Wrap `data` as an op result, recording `backward_fn` on the active tape.
 
-    `data` may have any layout; the result holds a C-contiguous copy.  A
+    `data` may have any layout; the result holds it C-contiguous (a view of
+    an input if it already is: no op writes into an op's output).  A
     non-finite value in it raises NumericsError naming the op.
     `backward_fn(grad_out)` must return one gradient array (or None) per
     input, each matching that input's shape, in any layout (views included).
@@ -319,7 +320,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    out = x.data.reshape(shape).copy()
+    out = x.data.reshape(shape)
 
     def bwd(g):
         return (g.reshape(x.shape),)
@@ -338,6 +339,21 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
         return (g.transpose(inv),)
 
     return record_op(out, (x,), bwd, "transpose")
+
+
+def slice_rows(x: Tensor, r0: int, r1: int) -> Tensor:
+    """Rows r0:r1 of axis -2: [..., r1 - r0, C]."""
+    r0, r1 = int(r0), int(r1)
+    if x.ndim < 2 or not 0 <= r0 < r1 <= x.shape[-2]:
+        raise ShapeError(f"slice_rows {r0}:{r1} of shape {x.shape} needs 0 <= r0 < r1 <= rows")
+    out = x.data[..., r0:r1, :]
+
+    def bwd(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx[..., r0:r1, :] = g
+        return (gx,)
+
+    return record_op(out, (x,), bwd, "slice_rows")
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -843,13 +859,10 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = F
     name = x.data.dtype.name
     wh = _interp_matrix_cached(h, out_h, align_corners, name)
     ww = _interp_matrix_cached(w, out_w, align_corners, name)
-    if rows is None:
-        r0, r1, c0, c1 = 0, out_h, 0, h
-    else:
-        r0, r1 = (int(r) for r in rows)
-        if not 0 <= r0 < r1 <= out_h:
-            raise ShapeError(f"bilinear_upsample rows {rows} need 0 <= r0 < r1 <= {out_h}")
-        c0, c1 = _band(wh, r0, r1)
+    r0, r1 = (0, out_h) if rows is None else (int(r) for r in rows)
+    if not 0 <= r0 < r1 <= out_h:
+        raise ShapeError(f"bilinear_upsample rows {rows} need 0 <= r0 < r1 <= {out_h}")
+    c0, c1 = _band(wh, r0, r1)
     wb = wh[r0:r1, c0:c1]
     # Separable interpolation as two matrix products.  The width product is
     # one [N*C*rows, W] GEMM, not one per channel: with OpenBLAS 0.3.31 the

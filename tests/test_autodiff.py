@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from incepformer import tensor as T
-from incepformer.errors import ContractError
+from incepformer.errors import ContractError, NumericsError
 from incepformer.gradcheck import check_function, check_op_gradients, finite_diff_grad, rel_error
 from incepformer.tensor import GradTape, Tensor, backward
 
@@ -235,6 +235,22 @@ class TestFiniteDiff:
         for p in (w1, w2):
             fd = finite_diff_grad(lambda _t: loss_fn().item(), p, h=1e-5)
             assert rel_error(p.grad, fd) < 1e-4
+
+    def test_restores_coordinate_when_f_raises(self):
+        x = t64([1.0, 2.0, 3.0], grad=True)
+        before = x.data.copy()
+        calls = []
+
+        def f(t):
+            calls.append(t.data.copy())
+            if len(calls) == 2:
+                raise NumericsError("planted")
+            return float(t.data.sum())
+
+        with pytest.raises(NumericsError, match="planted"):
+            finite_diff_grad(f, x, h=1e-5)
+        assert calls[1][0] != before[0]
+        assert x.data.tobytes() == before.tobytes()
 
     def test_bad_step(self):
         from incepformer.errors import ConfigError

@@ -25,7 +25,7 @@ from incepformer.config import (
     to_dict,
 )
 from incepformer.errors import ConfigError, ShapeError
-from incepformer.gradcheck import finite_diff_grad, rel_error
+from incepformer.gradcheck import check_function, finite_diff_grad, rel_error
 from incepformer.model import EFFN, IPTBlock, IncepMHSA, IncepReduce, build_model
 from incepformer.tensor import GradTape, Tensor, backward
 
@@ -176,7 +176,8 @@ class TestIncepReduce:
         out = red(rand_t((1, 4, 3, 5)))
         assert out.shape == (1, 15, 4)
 
-    @pytest.mark.parametrize("hw,r", [((8, 8), 8), ((16, 8), 4), ((6, 10), 2), ((5, 7), 3)])
+    # The last case is stage 1 of a 512x512 input: 3 * 16 * 16 = 768 keys.
+    @pytest.mark.parametrize("hw,r", [((8, 8), 8), ((16, 8), 4), ((6, 10), 2), ((5, 7), 3), ((128, 128), 8)])
     def test_kv_count_formula(self, hw, r):
         h, w = hw
         red = IncepReduce(2, r, make_init(), eps=1e-5)
@@ -296,12 +297,30 @@ class TestIncepMHSA:
         np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, attention_loop_oracle(q.data, kv.data, attn), rtol=0, atol=1e-12)
 
-    def test_tape_records_one_block(self, monkeypatch):
+    def test_tape_records_query_blocks(self, monkeypatch):
         attn, q, kv, softmaxes = self._blocked_setup(monkeypatch)
         with GradTape() as tape:
             attn.attend(q, kv)
+        block = ["slice_rows", "matmul", "softmax", "matmul"]
+        assert [node.name for node in tape.nodes] == self.ATTEND_OPS[:10] + block * 4 + ["concat"] + \
+            self.ATTEND_OPS[13:]
+        assert [s[2] for s in softmaxes] == [3, 3, 3, 1]
+        # One block records no slice and no concat.
+        monkeypatch.setattr(T, "BLOCK_BYTES", 1 << 40)
+        with GradTape() as tape:
+            attn.attend(q, kv)
         assert [node.name for node in tape.nodes] == self.ATTEND_OPS
-        assert [s[2] for s in softmaxes] == [10]
+
+    def test_blocked_gradients_match_finite_differences(self, monkeypatch):
+        attn, q, kv, softmaxes = self._blocked_setup(monkeypatch)
+        q.requires_grad = kv.requires_grad = True
+        params = [attn.wq, attn.wk, attn.wv, attn.wo, attn.bq, attn.bk, attn.bv, attn.bo]
+        proj = rand_t((1, 10, 4), seed=37)
+        rows = check_function(lambda args: T.tsum(T.mul(attn.attend(args[0], args[1]), proj)),
+                              [q, kv] + params, "attend")
+        assert [s[2] for s in softmaxes[:4]] == [3, 3, 3, 1]
+        assert len(rows) == 10
+        assert all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
 
     def test_blocks_sized_in_bytes(self, monkeypatch):
         # A row of either loop here holds 60 values: 3 channels x 20 columns
@@ -319,13 +338,6 @@ class TestIncepMHSA:
             attn = IncepMHSA(4, 2, 1, make_init(34, dtype=dtype), eps=1e-5)
             attn.attend(rand_t((1, 8, 4), seed=35, dtype=dtype), rand_t((1, 30, 4), seed=36, dtype=dtype))
             assert softmaxes == [rows] * (8 // rows)
-
-    def test_kv_vs_query_counts_full_scale(self):
-        # stage-1 geometry of a 512x512 input: 128x128 tokens, R=8
-        h = w = 128
-        r = 8
-        assert 3 * (h // r) * (w // r) == 768
-        assert h * w == 16384
 
     def test_channels_heads_error(self):
         with pytest.raises(ConfigError):
@@ -484,14 +496,39 @@ class TestEncoderDecoder:
         assert got.shape == one.shape == (1, 5, 16, 24)
         np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
 
-    def test_decoder_tape_records_one_block(self, monkeypatch):
+    def test_decoder_tape_records_row_blocks(self, monkeypatch):
+        # A 16x24 map in blocks of 5 rows: 5, 5, 5 and 1.
         cfg = micro(num_classes=5)
         dec = model_mod.Decoder(cfg, make_init(42))
-        monkeypatch.setattr(T, "BLOCK_BYTES", 1)
+        pyr = self._pyramid(cfg, 16, 24, "f64")
+        monkeypatch.setattr(T, "BLOCK_BYTES", 5 * cfg.concat_channels * 24 * 8)
         with GradTape() as tape:
-            out = dec(self._pyramid(cfg, 16, 24, "f64"))
-        assert [node.name for node in tape.nodes] == self.DECODER_OPS
+            out = dec(pyr)
+        assert [node.name for node in tape.nodes] == self.DECODER_OPS * 4 + ["concat"]
+        assert [node.out.shape[2] for node in tape.nodes if node.name == "conv2d"][1::2] == [5, 5, 5, 1]
         assert out.shape == (1, 5, 16, 24)
+        # One block records no concat of blocks.
+        monkeypatch.setattr(T, "BLOCK_BYTES", 1 << 40)
+        with GradTape() as tape:
+            dec(pyr)
+        assert [node.name for node in tape.nodes] == self.DECODER_OPS
+
+    def test_decoder_blocked_gradients_match_finite_differences(self, monkeypatch):
+        # Levels of two channels each on an 8x8 map, in blocks of 3 rows: 3, 3 and 2.
+        cfg = dataclasses.replace(micro(num_classes=3), decoder_channels=4, stages=tuple(
+            dataclasses.replace(sc, channels=2) for sc in micro().stages))
+        dec = model_mod.Decoder(cfg, make_init(44))
+        pyr = self._pyramid(cfg, 8, 8, "f64")
+        monkeypatch.setattr(T, "BLOCK_BYTES", 3 * cfg.concat_channels * 8 * 8)
+        proj = rand_t((1, 3, 8, 8), seed=45)
+        params = [dec.fuse.weight, dec.fuse.bias, dec.classify.weight, dec.classify.bias]
+        with GradTape() as tape:
+            dec(pyr)
+        assert sum(node.name == "concat" for node in tape.nodes) == 4
+        rows = check_function(lambda args: T.tsum(T.mul(dec(model_mod.FeaturePyramid(*args[:4])), proj)),
+                              pyr.as_list() + params, "decoder")
+        assert len(rows) == 8
+        assert all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
 
     def test_decoder_no_tape_peak_below_one_concat(self):
         # ipt-t levels of a 256x256 input; one whole forward holds the

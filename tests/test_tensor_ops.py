@@ -500,6 +500,18 @@ class TestSeqImg:
         np.testing.assert_array_equal(back.data, x)
 
 
+class TestSliceRows:
+    def test_rows_of_second_to_last_axis(self):
+        x = t64(np.random.default_rng(12).standard_normal((2, 3, 5, 4)))
+        np.testing.assert_array_equal(T.slice_rows(x, 1, 4).data, x.data[:, :, 1:4])
+
+    @pytest.mark.parametrize("shape, r0, r1", [((2, 5, 3), 2, 2), ((2, 5, 3), 3, 1), ((2, 5, 3), -1, 2),
+                                               ((2, 5, 3), 0, 6), ((2, 5, 3), 5, 6), ((4,), 0, 1)])
+    def test_empty_or_out_of_range_rows_rejected(self, shape, r0, r1):
+        with pytest.raises(ShapeError, match="slice_rows"):
+            T.slice_rows(t64(np.zeros(shape)), r0, r1)
+
+
 class TestAllFinite:
     """_check_finite raises NumericsError naming the op exactly when a value
     is NaN or infinite."""

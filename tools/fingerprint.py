@@ -10,6 +10,8 @@ Prints one line per fingerprint:
   micro with overlapping patch embeds f32 x4, micro without biases and with
   the R=1 reduction bypassed f32 x3, micro with reductions (3, 3, 3, 1)
   f32 x3 (stages 1-3 zero-pad before reducing) and ipt-t f32 x2 iterations.
+* the same for ipt-t f32 x2 at batch 1 and 256x256 crops, where the
+  decoder and stage-1 attention record several blocks on the tape.
 * the SHA-256 of the eval-mode logits of one image for ipt-t f32 at
   512x512 and micro f64 at 64x64 (BatchNorm eval in both dtypes), and of
   the ipt-t logits' `label_map` at 512x512.  A change to how the forward
@@ -26,7 +28,9 @@ To compare two source trees, run it against each and compare the outputs:
     PYTHONPATH=new/src python3 tools/fingerprint.py > new.txt
     cmp old.txt new.txt
 
-It takes about 6 s and 0.5 GiB on a 2-core x86_64 VM.
+It takes about 2.3 s and 0.75 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
+EPYC, numpy 2.4.6 with OpenBLAS 0.3.31); the 256x256 training line sets
+the peak.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ def sha256_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def train_fingerprint(cfg, dtype: str, iters: int) -> str:
-    data = make_synth_dataset(4, 64, 64, cfg.num_classes, SEED)
-    tc = TrainConfig(max_iters=iters, batch_size=2, crop=(64, 64), seed=SEED)
+def train_fingerprint(cfg, dtype: str, iters: int, size: int = 64, batch: int = 2) -> str:
+    data = make_synth_dataset(4, size, size, cfg.num_classes, SEED)
+    tc = TrainConfig(max_iters=iters, batch_size=batch, crop=(size, size), seed=SEED)
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "run.ckpt")
         result = train(cfg, tc, data, dtype=dtype, checkpoint_path=ckpt)
@@ -103,6 +107,8 @@ def analyze_fingerprint() -> str:
 def main():
     for name, cfg, dtype, iters in RUNS:
         print(f"train {name} x{iters}: {train_fingerprint(cfg, dtype, iters)}", flush=True)
+    print(f"train ipt-t-f32 256x256 b1 x2: {train_fingerprint(ipt_t(), 'f32', 2, size=256, batch=1)}",
+          flush=True)
     logits = eval_logits(ipt_t(), "f32", 512)
     print(f"eval ipt-t 512x512 logits: {sha256_array(logits)}", flush=True)
     labels = label_map(logits[0], 512, 512).astype(np.int64)
