@@ -117,12 +117,12 @@ class IncepMHSA(Module):
         rounding, over far fewer values (Lk is 768 at stage 1 of a 512x512
         input).
 
-        Scores, softmax and the weights-by-values product run one block of
-        query rows at a time, each block's scores at most `T.BLOCK_BYTES`,
-        so they stay in cache instead of one [N, heads, L, Lk] array being
-        paged in whole; the block contexts are concatenated along the query
-        axis.  Each row's softmax is exact; the blocked products differ
-        from the whole one by float rounding at most.
+        Scores, softmax and the weights-by-values product run one
+        `T.block_ranges` block of query rows at a time, sized by their
+        scores, so they stay in cache instead of one [N, heads, L, Lk]
+        array being paged in whole; the block contexts are concatenated
+        along the query axis.  Each row's softmax is exact; the blocked
+        products differ from the whole one by float rounding at most.
         """
         n, l, c = q_tokens.shape
         q = T.scale(T.linear(q_tokens, self.wq, self.bq), 1.0 / math.sqrt(self.head_dim))
@@ -133,13 +133,11 @@ class IncepMHSA(Module):
         qh = T.transpose(T.reshape(q, (n, l, hd, dk)), (0, 2, 1, 3))
         kt = T.transpose(T.reshape(k, (n, lk, hd, dk)), (0, 2, 3, 1))
         vh = T.transpose(T.reshape(v, (n, lk, hd, dk)), (0, 2, 1, 3))
-        row_bytes = q.dtype.itemsize * n * hd * lk
-        rows = max(1, T.BLOCK_BYTES // row_bytes)
         blocks = []
-        for i in range(0, l, rows):
-            qb = qh if rows >= l else T.slice_rows(qh, i, min(i + rows, l))
-            blocks.append(T.matmul_batched(T.softmax(T.matmul_batched(qb, kt), axis=-1), vh))
-        ctx = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=2)
+        for r0, r1 in T.block_ranges(l, q.dtype.itemsize * n * hd * lk):
+            scores = T.matmul_batched(T.slice_rows(qh, r0, r1), kt)
+            blocks.append(T.matmul_batched(T.softmax(scores, axis=-1), vh))
+        ctx = T.concat(blocks, axis=2)
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, l, c))
         return T.linear(merged, self.wo, self.bo)
 
@@ -220,8 +218,8 @@ class Decoder(Module):
     """Upsample every pyramid level to 1/4 resolution, concatenate along
     channels, then two 1x1 convolutions down to class logits.
 
-    This runs one block of 1/4-resolution rows at a time, each block's
-    concat at most `T.BLOCK_BYTES`: every level's rows of the upsample
+    This runs one `T.block_ranges` block of 1/4-resolution rows at a time,
+    sized by its concat: every level's rows of the upsample
     (`bilinear_upsample(rows=)`), their concat, `fuse` and `classify`; the
     block logits are concatenated along H.  So no full-size concat or
     `fuse` output is held (a tape keeps each block's until the backward,
@@ -244,14 +242,11 @@ class Decoder(Module):
                     f"pyramid level {i} has spatial {f.shape[2:]}, expected {expect}"
                 )
         n, c = feats[0].shape[0], sum(f.shape[1] for f in feats)
-        row_bytes = feats[0].dtype.itemsize * n * c * w4
-        step = max(1, T.BLOCK_BYTES // row_bytes)
         blocks = []
-        for r0 in range(0, h4, step):
-            rows = (r0, min(r0 + step, h4))
+        for rows in T.block_ranges(h4, feats[0].dtype.itemsize * n * c * w4):
             ups = [T.bilinear_upsample(f, h4, w4, rows=rows) for f in feats]
             blocks.append(self.classify(self.fuse(T.concat(ups, axis=1))))
-        return blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=2)
+        return T.concat(blocks, axis=2)
 
     __call__ = forward
 

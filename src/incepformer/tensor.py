@@ -29,10 +29,16 @@ GELU_CUBIC = 0.044715
 # Bytes of the working set of one block, for every blocked loop, in training
 # and evaluation alike: channel blocks of the depthwise conv, row blocks of
 # `row_bands`, the decoder's row blocks and attention's query blocks
-# (model.py).  Each loop sizes its blocks from it in bytes, so an f64 block
-# holds half the values of an f32 one.  It is of the order of one core's L2
-# cache, so a block's repeated passes read from cache instead of memory.
+# (model.py), all taken from `block_ranges`.  So an f64 block holds half the
+# values of an f32 one.  It is of the order of one core's L2 cache, so a
+# block's repeated passes read from cache instead of memory.
 BLOCK_BYTES = 1 << 21
+
+
+def block_ranges(n: int, item_bytes: int) -> list:
+    """(start, stop) blocks of range(n), in order, of BLOCK_BYTES // item_bytes items (at least one)."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -158,8 +164,9 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
     `data` may have any layout; the result holds it C-contiguous (a view of
     an input if it already is: no op writes into an op's output).  A
     non-finite value in it raises NumericsError naming the op.
-    `backward_fn(grad_out)` must return one gradient array (or None) per
-    input, each matching that input's shape, in any layout (views included).
+    `backward_fn(grad_out)` must return one gradient (or None) per input,
+    in any layout (views included): an array of that input's shape, or an
+    (index, g) pair, g the gradient of `input.data[index]`, zero elsewhere.
     This is the extension point used by ops defined outside this module
     (e.g. losses).
     """
@@ -181,10 +188,12 @@ def backward(loss: Tensor, tape: GradTape):
     tensors that no recorded op produced).
 
     Gradients accumulate additively across fan-out in fixed (reverse tape)
-    order, each allocated on its first contribution.  Intermediate outputs
+    order, each allocated on its first contribution.  A closure's (index, g)
+    pair is placed here alone: zeros with g written at `index` on the first
+    contribution, an in-place add at `index` after.  Intermediate outputs
     hold their gradient only until their own op's backward has run and end
-    with `.grad is None`.  Recorded leaves that do not influence the loss end
-    up with zero gradients.  Every `.grad` is its own C-contiguous array
+    with `.grad is None`.  Recorded leaves that do not influence the loss
+    end up with zero gradients.  Every `.grad` is its own C-contiguous array
     with the leaf's dtype: no two gradients share memory, and none aliases an
     op's data.  So the `grad_out` each backward closure receives is
     C-contiguous, whatever layout the closures downstream returned.
@@ -211,12 +220,16 @@ def backward(loss: Tensor, tape: GradTape):
         for t, g in zip(node.inputs, grads):
             if g is None or not t.requires_grad:
                 continue
-            if g.shape != t.data.shape:
-                raise ShapeError(f"backward of {node.name}: gradient shape {g.shape} != input shape {t.data.shape}")
-            if t.grad is None:
+            index, g = g if isinstance(g, tuple) else (..., g)
+            if g.shape != t.data[index].shape:
+                raise ShapeError(f"backward of {node.name}: gradient shape {g.shape} != {t.data[index].shape}")
+            if t.grad is not None:
+                t.grad[index] += g
+            elif index is ...:
                 t.grad = np.array(g, dtype=t.dtype, order="C")
             else:
-                t.grad += g
+                t.grad = np.zeros_like(t.data)
+                t.grad[index] = g
     for t in leaves.values():
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
@@ -241,9 +254,17 @@ def _binary_check(a: Tensor, b: Tensor, op: str):
         raise ContractError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
+def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """ufunc(a, b) of two tensors of one dtype whose shapes broadcast."""
+    _binary_check(a, b, op)
+    try:
+        return ufunc(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_check(a, b, "add")
-    out = a.data + b.data
+    out = _broadcast(np.add, a, b, "add")
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -252,8 +273,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_check(a, b, "mul")
-    out = a.data * b.data
+    out = _broadcast(np.multiply, a, b, "mul")
 
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -342,28 +362,30 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def slice_rows(x: Tensor, r0: int, r1: int) -> Tensor:
-    """Rows r0:r1 of axis -2: [..., r1 - r0, C]."""
+    """Rows r0:r1 of axis -2: [..., r1 - r0, C]; all rows are `x` itself, unrecorded."""
     r0, r1 = int(r0), int(r1)
     if x.ndim < 2 or not 0 <= r0 < r1 <= x.shape[-2]:
         raise ShapeError(f"slice_rows {r0}:{r1} of shape {x.shape} needs 0 <= r0 < r1 <= rows")
-    out = x.data[..., r0:r1, :]
-
-    def bwd(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        gx[..., r0:r1, :] = g
-        return (gx,)
-
-    return record_op(out, (x,), bwd, "slice_rows")
+    if r1 - r0 == x.shape[-2]:
+        return x
+    index = (..., slice(r0, r1), slice(None))
+    return record_op(x.data[index], (x,), lambda g: ((index, g),), "slice_rows")
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Join along `axis`; one tensor is returned itself, unrecorded."""
     if not tensors:
         raise ContractError("concat of zero tensors")
     first = tensors[0]
+    if not -first.ndim <= axis < first.ndim:
+        raise ShapeError(f"concat axis {axis} out of range for shape {first.shape}")
+    rest = [i for i in range(first.ndim) if i != axis % first.ndim]
     for t in tensors[1:]:
         _binary_check(first, t, "concat")
-        if t.ndim != first.ndim:
-            raise ShapeError("concat: rank mismatch")
+        if t.ndim != first.ndim or any(t.shape[i] != first.shape[i] for i in rest):
+            raise ShapeError(f"concat along axis {axis}: shape {t.shape} does not fit {first.shape}")
+    if len(tensors) == 1:
+        return first
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -578,8 +600,8 @@ def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
     else:
         xp = x
     per_channel = n * (xp.shape[2] * xp.shape[3] + 2 * ho * cols) * xp.itemsize
-    cb = min(c, max(1, BLOCK_BYTES // per_channel))
-    blocks = [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
+    blocks = [slice(c0, c1) for c0, c1 in block_ranges(c, per_channel)]
+    cb = blocks[0].stop
     taps = [(u, v) for u in range(kh) for v in range(kw)]
 
     def tap_slice(a, blk, u, v):
@@ -814,7 +836,7 @@ def row_bands(shape: tuple, out_h: int, out_w: int, dtype: np.dtype):
     arrays to out_h x out_w, in blocks of output rows; no full-size array is held.
 
     walk(x) resizes the width once, then yields ((r0, r1, c0, c1), rows) per
-    block of at most BLOCK_BYTES (at least one row): rows is a fresh
+    `block_ranges` block of output rows: rows is a fresh
     [N, r1 - r0, K, out_w] array, one product over the input rows c0:c1
     that they read.
     pull_back(pairs of block and gradient of its rows) is the adjoint: the
@@ -823,8 +845,7 @@ def row_bands(shape: tuple, out_h: int, out_w: int, dtype: np.dtype):
     n, k, h, w = shape
     wh = _interp_matrix_cached(h, out_h, False, dtype.name)
     ww = _interp_matrix_cached(w, out_w, False, dtype.name)
-    step = max(1, BLOCK_BYTES // (dtype.itemsize * n * k * out_w))
-    blocks = [(r0, min(r0 + step, out_h)) + _band(wh, r0, r0 + step) for r0 in range(0, out_h, step)]
+    blocks = [(r0, r1) + _band(wh, r0, r1) for r0, r1 in block_ranges(out_h, dtype.itemsize * n * k * out_w)]
 
     def walk(x):
         xw = np.matmul(x.transpose(0, 2, 1, 3), ww.T).reshape(n, h, k * out_w)
@@ -848,7 +869,7 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = F
     A block of rows is one product with the band of input rows that they
     read (as in `row_bands`), so it costs its share of the whole resize and
     equals the same rows of it up to float rounding.  Its backward is the
-    adjoint, zero outside that band.
+    adjoint, returned for that band only.
     """
     if x.ndim != 4:
         raise ShapeError(f"bilinear_upsample expects 4-D input, got {x.shape}")
@@ -871,12 +892,7 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = F
     out = np.matmul(np.matmul(wb, x.data[:, :, c0:c1]).reshape(-1, w), ww.T).reshape(n, c, r1 - r0, out_w)
 
     def bwd(g):
-        gb = np.matmul(np.matmul(wb.T, g), ww)
-        if (c0, c1) == (0, h):
-            return (gb,)
-        gx = np.zeros(x.shape, dtype=gb.dtype)
-        gx[:, :, c0:c1] = gb
-        return (gx,)
+        return ((np.s_[:, :, c0:c1], np.matmul(np.matmul(wb.T, g), ww)),)
 
     return record_op(out, (x,), bwd, "bilinear_upsample")
 
@@ -900,8 +916,8 @@ def seq2img(x: Tensor, h: int, w: int) -> Tensor:
         raise ShapeError(f"seq2img expects 3-D input, got {x.shape}")
     n, l, c = x.shape
     h, w = int(h), int(w)
-    if l != h * w:
-        raise ShapeError(f"seq2img: {l} tokens cannot fill a {h}x{w} map")
+    if h < 1 or w < 1 or l != h * w:
+        raise ShapeError(f"seq2img: the {l} tokens of {x.shape} cannot fill a {h}x{w} map")
     out = x.data.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def bwd(g):

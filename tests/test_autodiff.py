@@ -1,10 +1,12 @@
 """Tape mechanics, backward correctness and the finite-difference oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from incepformer import tensor as T
-from incepformer.errors import ContractError, NumericsError
+from incepformer.errors import ContractError, NumericsError, ShapeError
 from incepformer.gradcheck import check_function, check_op_gradients, finite_diff_grad, rel_error
 from incepformer.tensor import GradTape, Tensor, backward
 
@@ -155,6 +157,42 @@ class TestBackward:
 
         rows = check_function(f, [x, w, g, b], "composite", h=1e-5, tol=1e-5)
         assert rows and all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
+
+
+class TestRowRangeGradients:
+    """A closure's (index, g) pair: backward() places g at index."""
+
+    def test_overlapping_blocks_add_up(self):
+        x = t64(np.zeros((4, 1)), grad=True)
+        with GradTape() as tape:
+            loss = T.add(T.tsum(T.slice_rows(x, 0, 3)), T.tsum(T.slice_rows(x, 2, 4)))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad[:, 0], [1.0, 1.0, 2.0, 1.0])
+
+    def test_wrong_shaped_pair_names_the_op(self):
+        x = t64(np.zeros((4, 3)), grad=True)
+        with GradTape() as tape:
+            y = T.record_op(x.data[1:3], (x,), lambda g: ((np.s_[1:4], g),), "bad_rows")
+            loss = T.tsum(y)
+        with pytest.raises(ShapeError, match="bad_rows"):
+            backward(loss, tape)
+
+    def test_disjoint_blocks_hold_one_input_size(self):
+        # Each block's backward places its rows in the one input gradient,
+        # instead of a zero-filled input-sized array per block.
+        x = t64(np.random.default_rng(5).standard_normal((1, 2, 4096, 64)), grad=True)
+        with GradTape() as tape:
+            loss = T.tsum(T.slice_rows(x, 0, 256))
+            for r0 in range(256, 4096, 256):
+                loss = T.add(loss, T.tsum(T.slice_rows(x, r0, r0 + 256)))
+        tracemalloc.start()
+        try:
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.grad, np.ones(x.shape))
+        assert peak < 1.5 * x.data.nbytes, peak / x.data.nbytes
 
 
 class TestReductionGradients:

@@ -512,6 +512,26 @@ class TestSliceRows:
             T.slice_rows(t64(np.zeros(shape)), r0, r1)
 
 
+    def test_all_rows_is_the_input_unrecorded(self):
+        x = t64(np.zeros((2, 5, 3)), grad=True)
+        with T.GradTape() as tape:
+            assert T.slice_rows(x, 0, 5) is x
+            assert T.concat([x], axis=1) is x
+        assert len(tape) == 0
+
+
+class TestBlockRanges:
+    def test_cover_with_ragged_last_block(self, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_BYTES", 3 * 8)
+        assert T.block_ranges(10, 8) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert T.block_ranges(9, 8) == [(0, 3), (3, 6), (6, 9)]
+        assert T.block_ranges(2, 8) == [(0, 2)]
+
+    def test_one_item_per_block_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_BYTES", 100)
+        assert T.block_ranges(3, 101) == [(0, 1), (1, 2), (2, 3)]
+
+
 class TestAllFinite:
     """_check_finite raises NumericsError naming the op exactly when a value
     is NaN or infinite."""
@@ -549,6 +569,17 @@ class TestEngineContracts:
         b = Tensor([1.0], dtype="f64")
         with pytest.raises(ContractError):
             T.add(a, b)
+
+    @pytest.mark.parametrize("op", [
+        lambda: T.add(t64(np.zeros((2, 3))), t64(np.zeros((2, 4)))),
+        lambda: T.mul(t64(np.zeros((2, 3))), t64(np.zeros((3, 2)))),
+        lambda: T.concat([t64(np.zeros((2, 3))), t64(np.zeros((3, 3)))], axis=1),
+        lambda: T.concat([t64(np.zeros((2, 3))), t64(np.zeros((2, 3)))], axis=2),
+        lambda: T.seq2img(t64(np.zeros((1, 6, 2))), -2, -3),
+    ], ids=["add", "mul", "concat_extent", "concat_axis", "seq2img_negative"])
+    def test_shape_errors_are_typed(self, op):
+        with pytest.raises(ShapeError, match=r"(add|mul|concat|seq2img).*\(\d"):
+            op()
 
     def test_pad2d(self):
         x = t64([[[[1.0]]]])

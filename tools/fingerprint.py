@@ -21,6 +21,11 @@ Prints one line per fingerprint:
   `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset
   as is, without biases, with overlapping patch embeds, with the R=1
   reduction bypassed and with all three, plus the odd-reduction micro.
+* the number of recorded ops and the SHA-256 of the tape gradients of every
+  parameter, in store order, for one loss: the composition of
+  `incepformer gradcheck` (micro f64, 32x32, batch 2, BatchNorm frozen),
+  and the same for ipt-t f32 at 512x512, batch 1, where stage-1 attention
+  runs 25 query blocks and the decoder 32 row blocks on the tape.
 
 To compare two source trees, run it against each and compare the outputs:
 
@@ -28,9 +33,9 @@ To compare two source trees, run it against each and compare the outputs:
     PYTHONPATH=new/src python3 tools/fingerprint.py > new.txt
     cmp old.txt new.txt
 
-It takes about 2.3 s and 0.75 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
-EPYC, numpy 2.4.6 with OpenBLAS 0.3.31); the 256x256 training line sets
-the peak.
+It takes about 6 s and 1.7 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
+EPYC, numpy 2.4.6 with OpenBLAS 0.3.31); the ipt-t 512x512 tape line sets
+the peak (without the two tape lines: 3.7 s and 0.75 GiB).
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ from incepformer import TrainConfig, build_model, ipt_t, make_synth_dataset, mic
 from incepformer.analysis import count_params, emit_report, estimate_flops
 from incepformer.config import PRESETS
 from incepformer.metrics import label_map
-from incepformer.tensor import Tensor
+from incepformer.model import freeze_batchnorm_stats
+from incepformer.tensor import GradTape, Tensor, backward
+from incepformer.train import cross_entropy
 
 SEED = 3
 ODD_REDUCTION = dataclasses.replace(
@@ -94,6 +101,25 @@ def eval_logits(cfg, dtype: str, size: int) -> np.ndarray:
     return model(Tensor(image[None], dtype=dtype)).data
 
 
+def tape_fingerprint(cfg, dtype: str, size: int, batch: int, freeze_bn: bool) -> str:
+    """Recorded ops and the SHA-256 of the parameter gradients of one
+    `cross_entropy` loss, built as `incepformer gradcheck` builds it."""
+    model = build_model(cfg, seed=0, dtype=dtype)
+    model.train()
+    if freeze_bn:
+        freeze_batchnorm_stats(model)
+    rng = np.random.default_rng(np.random.SeedSequence([0, 42]))
+    image = Tensor(rng.uniform(0.0, 1.0, (batch, 3, size, size)), dtype=dtype)
+    labels = rng.integers(0, cfg.num_classes, (batch, size, size))
+    with GradTape() as tape:
+        loss = cross_entropy(model(image), labels)
+    backward(loss, tape)
+    digest = hashlib.sha256()
+    for _, t in model.parameter_store().items():
+        digest.update(t.grad.tobytes())
+    return f"{len(tape)} ops {digest.hexdigest()}"
+
+
 def analyze_fingerprint() -> str:
     digest = hashlib.sha256()
     for cfg in ANALYZE_CONFIGS:
@@ -115,6 +141,8 @@ def main():
     print(f"eval ipt-t 512x512 labels: {sha256_array(labels)}", flush=True)
     print(f"eval micro-f64 64x64 logits: {sha256_array(eval_logits(micro(), 'f64', 64))}", flush=True)
     print(f"analyze {len(ANALYZE_CONFIGS)} configs: {analyze_fingerprint()}", flush=True)
+    print(f"tape micro-f64 32x32 b2 grads: {tape_fingerprint(micro(), 'f64', 32, 2, True)}", flush=True)
+    print(f"tape ipt-t-f32 512x512 b1 grads: {tape_fingerprint(ipt_t(), 'f32', 512, 1, False)}", flush=True)
 
 
 if __name__ == "__main__":
