@@ -1,14 +1,18 @@
 """Tape mechanics, backward correctness and the finite-difference oracle."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from incepformer import tensor as T
+from incepformer import micro, tensor as T
 from incepformer.errors import ContractError, NumericsError, ShapeError
 from incepformer.gradcheck import check_function, check_op_gradients, finite_diff_grad, rel_error
+from incepformer.model import build_model
 from incepformer.tensor import GradTape, Tensor, backward
+from incepformer.train import cross_entropy
 
 
 def t64(data, grad=False):
@@ -48,6 +52,122 @@ class TestTape:
             y = T.scale(x, 2.0)
         with pytest.raises(ContractError, match="scalar"):
             backward(y, tape)
+
+    def test_loss_of_another_tape_raises(self):
+        x = t64([1.0, 2.0], grad=True)
+        with GradTape() as tape_a:
+            loss_a = T.tsum(T.mul(x, x))
+        with GradTape() as tape_b:
+            T.scale(x, 3.0)
+        with pytest.raises(ContractError, match="not recorded on this tape"):
+            backward(loss_a, tape_b)
+        assert x.grad is None
+
+    def test_untracked_loss_raises(self):
+        x = t64([1.0, 2.0], grad=True)
+        c = t64([3.0, 4.0])
+        with GradTape() as tape:
+            T.scale(x, 2.0)
+            loss = T.tsum(c)  # no input requires a gradient: not recorded
+        with pytest.raises(ContractError, match="not recorded on this tape"):
+            backward(loss, tape)
+        assert loss.grad is None and x.grad is None
+
+
+class TestSlotsPerTape:
+    """A Tensor's slot belongs to one tape; another tape makes it a leaf."""
+
+    def test_output_of_one_tape_is_leaf_of_the_next(self):
+        x = t64([1.0, -2.0], grad=True)
+        with GradTape() as tape_a:
+            y = T.scale(x, 3.0)
+            loss_a = T.tsum(y)
+        with GradTape() as tape_b:
+            loss_b = T.tsum(T.mul(y, y))
+        backward(loss_b, tape_b)
+        np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+        assert x.grad is None
+        backward(loss_a, tape_a)  # y's node on tape A still routes to x
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_parameter_gets_each_tapes_own_gradient(self):
+        x = t64([1.0, 2.0], grad=True)
+        with GradTape() as tape_1:
+            loss_1 = T.tsum(T.mul(x, x))
+        with GradTape() as tape_2:
+            loss_2 = T.tsum(T.scale(x, 5.0))
+        backward(loss_1, tape_1)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        backward(loss_2, tape_2)
+        np.testing.assert_array_equal(x.grad, [5.0, 5.0])
+        backward(loss_1, tape_1)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_cleared_tape_takes_old_outputs_as_leaves(self):
+        x = t64([1.0, 2.0], grad=True)
+        with GradTape() as tape:
+            y = T.scale(x, 2.0)
+        tape.clear()
+        with tape:
+            loss = T.tsum(T.mul(y, y))
+        backward(loss, tape)
+        np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+        assert x.grad is None
+
+
+class TestTapeMemory:
+    """Under gc.disable() only reference counting frees: the tape keeps an
+    op output's array alive only through a backward closure that reads it."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_scores_freed_before_backward(self):
+        rng = np.random.default_rng(3)
+        q, k, v = (t64(rng.standard_normal((1, 6, 4)), grad=True) for _ in range(3))
+        refs = {}
+
+        def attend():
+            s = T.matmul_batched(q, T.transpose(k, (0, 2, 1)))
+            p = T.softmax(s, axis=-1)
+            refs["scores"], refs["weights"] = weakref.ref(s.data), weakref.ref(p.data)
+            return T.tsum(T.matmul_batched(p, v))
+
+        with GradTape() as tape:
+            loss = attend()
+        assert refs["scores"]() is None  # softmax's backward reads its output, not its input
+        assert refs["weights"]() is not None
+        backward(loss, tape)
+        assert q.grad.shape == k.grad.shape == v.grad.shape == (1, 6, 4)
+
+    def test_dropping_the_tape_frees_every_op_output(self, monkeypatch):
+        refs = []
+        record = T.record_op
+
+        def spy(data, inputs, backward_fn, name):
+            out = record(data, inputs, backward_fn, name)
+            refs.append((name, weakref.ref(out.data)))
+            return out
+
+        monkeypatch.setattr(T, "record_op", spy)
+        model = build_model(micro(), seed=0, dtype="f64")
+        rng = np.random.default_rng(4)
+        images = Tensor(rng.standard_normal((2, 3, 32, 32)), dtype="f64")
+        labels = rng.integers(0, micro().num_classes, (2, 32, 32))
+        with GradTape() as tape:
+            loss = cross_entropy(model(images), labels)
+        backward(loss, tape)
+        assert len(refs) > 100
+        del tape, loss
+        alive = [name for name, ref in refs if ref() is not None]
+        assert not alive, alive
 
 
 class TestBackward:

@@ -491,6 +491,13 @@ class TestSeqImg:
         with pytest.raises(ShapeError):
             T.seq2img(t64(np.zeros((1, 5, 2))), 2, 3)
 
+    @pytest.mark.parametrize("c", [7, 8, 13, 64])
+    def test_img2seq_equals_one_transposing_copy(self, c):
+        # img2seq copies slices of 8 channels: whole and partial slices.
+        x = np.random.default_rng(c).standard_normal((2, c, 4, 6)).astype(np.float32)
+        got = T.img2seq(Tensor(x))
+        assert got.data.tobytes() == x.transpose(0, 2, 3, 1).reshape(2, 24, c).tobytes()
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
            st.integers(0, 10 ** 6))

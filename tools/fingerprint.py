@@ -33,9 +33,9 @@ To compare two source trees, run it against each and compare the outputs:
     PYTHONPATH=new/src python3 tools/fingerprint.py > new.txt
     cmp old.txt new.txt
 
-It takes about 6 s and 1.7 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
+It takes about 3.5 s and 1.1 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
 EPYC, numpy 2.4.6 with OpenBLAS 0.3.31); the ipt-t 512x512 tape line sets
-the peak (without the two tape lines: 3.7 s and 0.75 GiB).
+the peak (without the two tape lines: 2.1 s and 0.63 GiB).
 """
 
 from __future__ import annotations
