@@ -2,15 +2,17 @@
 
 Tensors wrap contiguous numpy arrays (float32 or float64).  Operations run
 eagerly; when a GradTape is active and an input requires gradients, every op
-appends a node holding a backward closure.  Replaying the tape in reverse
-accumulates gradients in a fixed order, which keeps runs bitwise reproducible.
+appends a node holding a backward closure.  `backward` walks the tape once,
+in reverse, accumulating gradients in a fixed order, which keeps runs bitwise
+reproducible.
 
 A node holds gradient slots (`_Slot`: grad, shape, dtype), not Tensors: one
 for its output and one per input that requires gradients.  So the tape keeps
 an array alive only where a backward closure captured it, and an op output
 that no closure reads is freed as soon as the forward drops it.  Closures
 capture the arrays they read and, where they read only a shape or a dtype,
-that metadata.
+that metadata.  `backward` consumes the tape: it drops each node once its
+closure has run, so what that closure captured is freed during the walk.
 
 Every forward op validates that its output is finite and raises NumericsError
 otherwise; silent NaN/Inf propagation is treated as a bug.
@@ -157,12 +159,14 @@ class GradTape:
 
     `leaves` pairs each leaf Tensor (requires_grad, made by no op of this
     tape) with its slot, so `backward` can set the leaf's `grad`.
+
+    A tape serves one `backward`, which takes its nodes and leaves and
+    leaves it empty, as `clear` does; a second `backward` of the same loss
+    raises ContractError.
     """
 
     def __init__(self):
-        self.nodes: list[_TapeNode] = []
-        self.leaves: list[tuple[Tensor, _Slot]] = []
-        self._key = object()
+        self.clear()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -170,8 +174,8 @@ class GradTape:
     def clear(self):
         """Forget every node and leaf; Tensors recorded before become leaves
         if used again."""
-        self.nodes.clear()
-        self.leaves.clear()
+        self.nodes: list[_TapeNode] = []
+        self.leaves: list[tuple[Tensor, _Slot]] = []
         self._key = object()
 
     def __enter__(self) -> "GradTape":
@@ -212,7 +216,8 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
     (e.g. losses).
 
     The node records slots, not `inputs` or the result: whatever arrays
-    `backward_fn` captured are all that the tape keeps alive.  An input
+    `backward_fn` captured are all that the tape keeps alive, and only
+    until `backward` has run it.  An input
     that requires gradients and has no slot on this tape yet gets a leaf
     slot.
     """
@@ -242,55 +247,65 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
 
 def backward(loss: Tensor, tape: GradTape):
     """Populate `.grad` on the leaves of `tape` (requires_grad tensors that
-    no op of it produced).  `loss` must be a scalar that carries its slot
-    on `tape` (an op output or a leaf of it, not used under another tape
-    since), else ContractError.
+    no op of it produced), consuming the tape.  `loss` must be a scalar that
+    carries its slot on `tape` (an op output or a leaf of it, not used under
+    another tape since), else ContractError.
+
+    The walk takes the tape's nodes and leaves and leaves the tape empty
+    under a fresh key, so a second `backward` on it raises ContractError.
+    It drops each node once its closure has run: what that closure captured
+    is freed while the walk goes on, and no node outlives the call.
 
     Gradients accumulate in the slots, additively across fan-out in fixed
     (reverse tape) order, each allocated on its first contribution from the
     slot's shape and dtype.  A closure's (index, g) pair is placed here
     alone: zeros with g written at `index` on the first contribution, an
     in-place add at `index` after.  An op output's slot holds its gradient
-    only until its own op's backward has run and ends with `grad` None; op
-    output Tensors never get a `.grad`.  Leaves that do not influence the
-    loss end up with zero gradients.  Every `.grad` is its own C-contiguous
-    array with the leaf's dtype: no two gradients share memory, and none
-    aliases an op's data.  So the `grad_out` each backward closure receives
-    is C-contiguous, whatever layout the closures downstream returned.
+    only until its own op's backward runs; op output Tensors never get a
+    `.grad`.  Leaves that do not influence the loss end up with zero
+    gradients.  Every `.grad` is its own C-contiguous array with the leaf's
+    dtype: no two gradients share memory, and none aliases an op's data.
+    So the `grad_out` each backward closure receives is C-contiguous,
+    whatever layout the closures downstream returned.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     root = loss._slot
     if root is None or root.key is not tape._key:
         raise ContractError("backward: the loss was not recorded on this tape")
-    for _, slot in tape.leaves:
-        slot.grad = None
-    for node in tape.nodes:
-        node.out.grad = None
+    nodes, leaves = tape.nodes, tape.leaves
+    tape.clear()
     root.grad = np.ones(root.shape, root.dtype)
-    for node in reversed(tape.nodes):
-        g_out = node.out.grad
-        if g_out is None:
-            continue
-        grads = node.backward_fn(g_out)
-        node.out.grad = None
-        for slot, g in zip(node.inputs, grads):
-            if g is None or slot is None:
-                continue
-            index, g = g if isinstance(g, tuple) else (..., g)
-            want = slot.shape if index is ... else np.broadcast_to(slot.dtype.type(0), slot.shape)[index].shape
-            if g.shape != want:
-                raise ShapeError(f"backward of {node.name}: gradient shape {g.shape} != {want}")
-            if slot.grad is not None:
-                slot.grad[index] += g
-            elif index is ...:
-                slot.grad = np.array(g, dtype=slot.dtype, order="C")
-            else:
-                slot.grad = np.zeros(slot.shape, slot.dtype)
-                slot.grad[index] = g
-    for t, slot in tape.leaves:
+    while nodes:
+        # Rebinding `node` and `g_out` frees the previous node, its closure
+        # and its output's gradient before the next closure runs.
+        node = nodes.pop()
+        g_out, node.out.grad = node.out.grad, None
+        if g_out is not None:
+            _accumulate(node, node.backward_fn(g_out))
+    for t, slot in leaves:
         t.grad = slot.grad if slot.grad is not None else np.zeros(slot.shape, slot.dtype)
         slot.grad = None
+
+
+def _accumulate(node: _TapeNode, grads):
+    """Add the gradients `node`'s closure returned into its input slots.
+    A function of its own, so its references to them end on return, before
+    the next closure runs."""
+    for slot, g in zip(node.inputs, grads):
+        if g is None or slot is None:
+            continue
+        index, g = g if isinstance(g, tuple) else (..., g)
+        want = slot.shape if index is ... else np.broadcast_to(slot.dtype.type(0), slot.shape)[index].shape
+        if g.shape != want:
+            raise ShapeError(f"backward of {node.name}: gradient shape {g.shape} != {want}")
+        if slot.grad is not None:
+            slot.grad[index] += g
+        elif index is ...:
+            slot.grad = np.array(g, dtype=slot.dtype, order="C")
+        else:
+            slot.grad = np.zeros(slot.shape, slot.dtype)
+            slot.grad[index] = g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -364,12 +379,17 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU under the tanh approximation (closed-form derivative)."""
+    """GELU under the tanh approximation (closed-form derivative).  The
+    backward recomputes the tanh, bitwise, instead of keeping it."""
     d = x.data
-    t = np.tanh(GELU_COEF * (d + GELU_CUBIC * d * d * d))
-    out = 0.5 * d * (1.0 + t)
+
+    def tanh_term():
+        return np.tanh(GELU_COEF * (d + GELU_CUBIC * d * d * d))
+
+    out = 0.5 * d * (1.0 + tanh_term())
 
     def bwd(g):
+        t = tanh_term()
         local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * d * d))
         return (g * local,)
 

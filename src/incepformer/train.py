@@ -240,7 +240,10 @@ def train(
     1/4-resolution logits against the crop-size labels, i.e. over the
     logits' bilinear upsample to the crop (bilinear weights are convex, so
     with the logits and the loss both checked no intermediate needs a
-    check) -> backward -> AdamW with the poly learning rate.
+    check) -> backward -> AdamW with the poly learning rate.  Every
+    parameter's `.grad` is dropped before each iteration's forward, so no
+    step holds the previous step's gradients; the last iteration's stay on
+    the returned store.
     `snapshot_at=(k, path)` additionally writes a checkpoint once k
     iterations have completed; resuming from it reproduces the rest of the
     run bit for bit.
@@ -264,6 +267,8 @@ def train(
         ]
         images = np.stack([s.image for s in batch])
         labels = np.stack([s.label for s in batch])
+        for _, p in store.items():
+            p.grad = None
         try:
             with GradTape() as tape:
                 logits = model(Tensor(images, dtype=dtype))
@@ -272,8 +277,7 @@ def train(
         except NumericsError as e:
             raise NumericsError(f"training aborted at iteration {it}: {e}") from e
         lr = poly_lr(it, cfg)
-        grads = {name: p.grad for name, p in store.items()}
-        adamw_step(store, grads, state, lr, cfg)
+        adamw_step(store, {name: p.grad for name, p in store.items()}, state, lr, cfg)
         value = loss.item()
         history.append(value)
         if log is not None:

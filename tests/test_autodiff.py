@@ -1,13 +1,14 @@
 """Tape mechanics, backward correctness and the finite-difference oracle."""
 
 import gc
+import importlib
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from incepformer import micro, tensor as T
+from incepformer import TrainConfig, make_synth_dataset, micro, tensor as T, train
 from incepformer.errors import ContractError, NumericsError, ShapeError
 from incepformer.gradcheck import check_function, check_op_gradients, finite_diff_grad, rel_error
 from incepformer.model import build_model
@@ -91,16 +92,18 @@ class TestSlotsPerTape:
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
     def test_parameter_gets_each_tapes_own_gradient(self):
-        x = t64([1.0, 2.0], grad=True)
-        with GradTape() as tape_1:
-            loss_1 = T.tsum(T.mul(x, x))
-        with GradTape() as tape_2:
-            loss_2 = T.tsum(T.scale(x, 5.0))
-        backward(loss_1, tape_1)
-        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
-        backward(loss_2, tape_2)
-        np.testing.assert_array_equal(x.grad, [5.0, 5.0])
-        backward(loss_1, tape_1)
+        for first in (0, 1):
+            x = t64([1.0, 2.0], grad=True)
+            with GradTape() as tape_1:
+                loss_1 = T.tsum(T.mul(x, x))
+            with GradTape() as tape_2:
+                loss_2 = T.tsum(T.scale(x, 5.0))
+            runs = [(loss_1, tape_1, [2.0, 4.0]), (loss_2, tape_2, [5.0, 5.0])]
+            for loss, tape, want in runs[first:] + runs[:first]:
+                backward(loss, tape)
+                np.testing.assert_array_equal(x.grad, want)
+        with pytest.raises(ContractError, match="not recorded on this tape"):
+            backward(loss_1, tape_1)  # the first backward consumed tape 1
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_cleared_tape_takes_old_outputs_as_leaves(self):
@@ -117,7 +120,8 @@ class TestSlotsPerTape:
 
 class TestTapeMemory:
     """Under gc.disable() only reference counting frees: the tape keeps an
-    op output's array alive only through a backward closure that reads it."""
+    op output's array alive only through a backward closure that reads it,
+    and backward frees each closure once it has run."""
 
     @pytest.fixture(autouse=True)
     def no_cyclic_gc(self):
@@ -168,6 +172,65 @@ class TestTapeMemory:
         del tape, loss
         alive = [name for name, ref in refs if ref() is not None]
         assert not alive, alive
+
+    def test_backward_frees_each_closure_once_it_has_run(self, monkeypatch):
+        record = T.record_op
+        seen = []  # (op, is the array only mul's closure captured alive?)
+
+        def spy(data, inputs, backward_fn, name):
+            def bwd(g):
+                seen.append((name, ref() is not None))
+                return backward_fn(g)
+
+            return record(data, inputs, bwd, name)
+
+        monkeypatch.setattr(T, "record_op", spy)
+        x = t64([1.0, -2.0], grad=True)
+        c = t64(3.0)
+        ref = weakref.ref(c.data)
+        with GradTape() as tape:
+            loss = T.mul(T.tsum(T.scale(x, 2.0)), c)
+        del c
+        backward(loss, tape)
+        assert seen == [("mul", True), ("sum", False), ("scale", False)]
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+    def test_gelu_keeps_no_tanh(self, monkeypatch):
+        refs = []
+        tanh = np.tanh
+
+        def spy(a):
+            out = tanh(a)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(np, "tanh", spy)
+        x = t64([-1.0, 0.5, 2.0], grad=True)
+        with GradTape() as tape:
+            loss = T.tsum(T.gelu(x))
+        assert len(refs) == 1 and refs[0]() is None
+        backward(loss, tape)  # recomputes the tanh
+        assert len(refs) == 2 and x.grad.shape == (3,)
+
+    def test_train_drops_gradients_before_each_forward(self, monkeypatch):
+        train_mod = importlib.import_module("incepformer.train")
+        build, loss_fn = train_mod.build_model, train_mod.cross_entropy
+        models, grads_held = [], []
+
+        def build_spy(*args, **kwargs):
+            models.append(build(*args, **kwargs))
+            return models[-1]
+
+        def loss_spy(*args, **kwargs):
+            grads_held.append(sum(p.grad is not None for p in models[0].parameters()))
+            return loss_fn(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "build_model", build_spy)
+        monkeypatch.setattr(train_mod, "cross_entropy", loss_spy)
+        data = make_synth_dataset(2, 32, 32, 2, seed=5)
+        res = train(micro(num_classes=2), TrainConfig(max_iters=2, batch_size=2, crop=(32, 32)), data)
+        assert grads_held == [0, 0]
+        assert all(p.grad is not None for _, p in res.store.items())
 
 
 class TestBackward:
@@ -254,7 +317,7 @@ class TestBackward:
             z = T.reshape(T.relu(y), (6,))
             loss = T.tsum(T.mul(z, z))
         backward(loss, tape)
-        assert all(node.out.grad is None for node in tape.nodes)
+        assert len(tape) == 0
         assert y.grad is None and z.grad is None and loss.grad is None
         np.testing.assert_array_equal(x.grad.reshape(-1), 2.0 * np.arange(6.0))
         assert w.grad.shape == (1, 1, 1, 1)

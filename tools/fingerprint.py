@@ -33,9 +33,9 @@ To compare two source trees, run it against each and compare the outputs:
     PYTHONPATH=new/src python3 tools/fingerprint.py > new.txt
     cmp old.txt new.txt
 
-It takes about 3.5 s and 1.1 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
+It takes about 3.6 s and 0.95 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
 EPYC, numpy 2.4.6 with OpenBLAS 0.3.31); the ipt-t 512x512 tape line sets
-the peak (without the two tape lines: 2.1 s and 0.63 GiB).
+the peak (without the two tape lines: 2.2 s and 0.51 GiB).
 """
 
 from __future__ import annotations
@@ -113,11 +113,12 @@ def tape_fingerprint(cfg, dtype: str, size: int, batch: int, freeze_bn: bool) ->
     labels = rng.integers(0, cfg.num_classes, (batch, size, size))
     with GradTape() as tape:
         loss = cross_entropy(model(image), labels)
+    ops = len(tape)  # backward consumes the tape
     backward(loss, tape)
     digest = hashlib.sha256()
     for _, t in model.parameter_store().items():
         digest.update(t.grad.tobytes())
-    return f"{len(tape)} ops {digest.hexdigest()}"
+    return f"{ops} ops {digest.hexdigest()}"
 
 
 def analyze_fingerprint() -> str:
