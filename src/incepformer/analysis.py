@@ -110,8 +110,7 @@ class _Walk:
 
     def conv(self, path: str, cin: int, cout: int, kh: int, kw: int, groups: int, ho: int, wo: int):
         self.param(f"{path}/weight", cout * (cin // groups) * kh * kw)
-        if self.cfg.with_bias:
-            self.param(f"{path}/bias", cout)
+        self.param(f"{path}/bias", cout)
         self.op(f"{path}@conv", conv_macs(kh, kw, cin, cout, groups, ho, wo), CAT_LINEAR)
 
     def norm(self, path: str, c: int, tag: str, values: int):
@@ -151,9 +150,8 @@ class _Walk:
                 self.norm(f"{red}/ln", c, "ln", l_kv * c)
                 for nm in ("wq", "wk", "wv", "wo"):
                     self.param(f"{b}/attn/{nm}", c * c)
-                if cfg.with_bias:
-                    for nm in ("bq", "bk", "bv", "bo"):
-                        self.param(f"{b}/attn/{nm}", c)
+                for nm in ("bq", "bk", "bv", "bo"):
+                    self.param(f"{b}/attn/{nm}", c)
                 self.op(f"{b}/attn/q@proj", matmul_macs(length, c, c), CAT_LINEAR)
                 self.op(f"{b}/attn/k@proj", matmul_macs(l_kv, c, c), CAT_LINEAR)
                 self.op(f"{b}/attn/v@proj", matmul_macs(l_kv, c, c), CAT_LINEAR)

@@ -25,6 +25,9 @@ MAX_NUM_CLASSES = 1 << 16
 # The most blocks one stage may have: far above the paper's deepest stage
 # (24, ipt-b stage 3), and checked before any block is built or counted.
 MAX_DEPTH = 1 << 10
+# The longest input side: 4x the 2048 width of the widest documented input,
+# checked before any image, label or activation of that size is allocated.
+MAX_INPUT_SIDE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,9 @@ class StageConfig:
 class ModelConfig:
     """Full variant description: four stages plus decoder/head settings.
 
-    `with_bias` toggles biases on every convolution and projection;
-    `bypass_reduce_r1` switches the R=1 key/value reduction to a plain
-    LayerNorm of the input tokens instead of the literal three branches.
+    Every convolution and projection has a bias.  `bypass_reduce_r1`
+    switches the R=1 key/value reduction to a plain LayerNorm of the input
+    tokens instead of the literal three branches.
     """
 
     stages: tuple[StageConfig, StageConfig, StageConfig, StageConfig]
@@ -68,7 +71,6 @@ class ModelConfig:
     num_classes: int
     patch_mode: str = "nonoverlap"
     norm_eps: float = 1e-5
-    with_bias: bool = True
     bypass_reduce_r1: bool = False
     name: str = "custom"
 
@@ -92,10 +94,11 @@ class ModelConfig:
 
 
 def check_input_size(h: int, w: int, what: str):
-    """The one input-size rule: both sides positive multiples of INPUT_MULTIPLE."""
-    if h < 1 or w < 1 or h % INPUT_MULTIPLE or w % INPUT_MULTIPLE:
-        raise ConfigError(f"{what} sides must be positive multiples of {INPUT_MULTIPLE}, "
-                          f"got width {w}, height {h}")
+    """The one input-size rule: both sides positive multiples of
+    INPUT_MULTIPLE, at most MAX_INPUT_SIDE."""
+    if not (0 < h <= MAX_INPUT_SIDE and 0 < w <= MAX_INPUT_SIDE) or h % INPUT_MULTIPLE or w % INPUT_MULTIPLE:
+        raise ConfigError(f"{what} sides must be positive multiples of {INPUT_MULTIPLE} "
+                          f"up to {MAX_INPUT_SIDE}, got width {w}, height {h}")
 
 
 _STAGE_FIELDS = tuple(f.name for f in fields(StageConfig))

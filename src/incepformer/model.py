@@ -106,7 +106,7 @@ class IncepMHSA(Module):
         self.wv = init.linear_weight(channels, channels)
         self.wo = init.linear_weight(channels, channels)
         for nm in ("bq", "bk", "bv", "bo"):
-            setattr(self, nm, init.zeros(channels) if init.with_bias else None)
+            setattr(self, nm, init.zeros(channels))
 
     def attend(self, q_tokens: Tensor, kv_tokens: Tensor) -> Tensor:
         """Scaled dot-product attention from query tokens onto key/value
@@ -285,8 +285,7 @@ class IncepFormer(Module):
 def build_model(cfg: ModelConfig, seed: int = 0, dtype="f32") -> IncepFormer:
     """Construct a model with deterministic, seed-derived initialization."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1A2B]))
-    init = InitCtx(rng=rng, dtype=resolve_dtype(dtype), with_bias=cfg.with_bias)
-    return IncepFormer(cfg, init)
+    return IncepFormer(cfg, InitCtx(rng=rng, dtype=resolve_dtype(dtype)))
 
 
 def freeze_batchnorm_stats(model: Module):

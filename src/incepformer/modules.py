@@ -35,7 +35,6 @@ class InitCtx:
 
     rng: np.random.Generator
     dtype: np.dtype
-    with_bias: bool = True
     n_params: int = 0
 
     def _claim(self, *shape: int) -> tuple:
@@ -140,7 +139,7 @@ class Conv2d(Module):
         self.padding = (padding, padding) if isinstance(padding, int) else tuple(padding)
         self.groups = groups
         self.weight = init.conv_weight(cout, cin // groups, kh, kw)
-        self.bias = init.zeros(cout) if init.with_bias else None
+        self.bias = init.zeros(cout)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups)

@@ -515,25 +515,22 @@ def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, (a, b), bwd, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Affine map over the last axis: x[..., K] @ w[K, P] (+ b[P])."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map over the last axis: x[..., K] @ w[K, P] + b[P]."""
     _binary_check(x, w, "linear")
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input last dim {x.shape[-1]} vs weight {w.shape}")
-    out = x.data @ w.data
-    if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
-        out = out + b.data
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
+    out = x.data @ w.data + b.data
 
     def bwd(g):
         g2 = g.reshape(-1, w.shape[1])
         gx = g @ w.data.T
         gw = x.data.reshape(-1, w.shape[0]).T @ g2
-        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
+        return gx, gw, g2.sum(axis=0)
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record_op(out, inputs, bwd, "linear")
+    return record_op(out, (x, w, b), bwd, "linear")
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -582,7 +579,7 @@ def check_conv_groups(cin: int, cout: int, groups: int):
 def conv2d(
     x: Tensor,
     w: Tensor,
-    b: Optional[Tensor] = None,
+    b: Tensor,
     stride: tuple = (1, 1),
     padding: tuple = (0, 0),
     groups: int = 1,
@@ -617,36 +614,30 @@ def conv2d(
         raise ShapeError(f"kernel height {kh} exceeds padded input height {h + 2 * ph}")
     if kw > wdt + 2 * pw:
         raise ShapeError(f"kernel width {kw} exceeds padded input width {wdt + 2 * pw}")
-    if b is not None and b.shape != (cout,):
+    if b.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {b.shape} != ({cout},)")
 
     ho = _conv_out_size(h, kh, sh, ph)
     wo = _conv_out_size(wdt, kw, sw, pw)
-    bias = None if b is None else b.data
 
     if kh == 1 and kw == 1 and groups == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0):
         # Pointwise fast path: a plain channel matmul.
         w2 = w.data.reshape(cout, cin)
         out = np.matmul(w2, x.data.reshape(n, cin, h * wdt)).reshape(n, cout, h, wdt)
-        if b is not None:
-            out += bias[None, :, None, None]
+        out += b.data[None, :, None, None]
 
         def bwd(g):
             g2 = g.reshape(n, cout, h * wdt)
             gx = np.matmul(w2.T, g2).reshape(n, cin, h, wdt)
             gw = np.matmul(g2, x.data.reshape(n, cin, h * wdt).transpose(0, 2, 1)).sum(axis=0)
-            grads = [gx, gw.reshape(cout, cin, 1, 1)]
-            if b is not None:
-                grads.append(g.sum(axis=(0, 2, 3)))
-            return tuple(grads)
+            return gx, gw.reshape(cout, cin, 1, 1), g.sum(axis=(0, 2, 3))
 
     elif groups == cin == cout:
-        out, bwd = _conv2d_depthwise(x.data, w.data, bias, (sh, sw), (ph, pw), (ho, wo))
+        out, bwd = _conv2d_depthwise(x.data, w.data, b.data, (sh, sw), (ph, pw), (ho, wo))
     else:
-        out, bwd = _conv2d_im2col(x.data, w.data, bias, (sh, sw), (ph, pw), (ho, wo))
+        out, bwd = _conv2d_im2col(x.data, w.data, b.data, (sh, sw), (ph, pw), (ho, wo))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record_op(out, inputs, bwd, "conv2d")
+    return record_op(out, (x, w, b), bwd, "conv2d")
 
 
 def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
@@ -699,8 +690,7 @@ def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
         np.multiply(tap_slice(xp, blk, 0, 0), w[None, blk, 0, 0, 0, None, None], out=ob)
         for u, v in taps[1:]:
             ob += np.multiply(tap_slice(xp, blk, u, v), w[None, blk, 0, u, v, None, None], out=bb)
-        if b is not None:
-            ob += b[None, blk, None, None]
+        ob += b[None, blk, None, None]
     out = out[:, :, :, :wo]
 
     def bwd(g):
@@ -720,10 +710,8 @@ def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
         gw = np.empty((c, kh, kw), dtype=w.dtype)
         for u, v in taps:
             gw[:, u, v] = np.einsum("nchw,nchw->c", gp, tap_slice(xp, slice(None), u, v))
-        grads = [gxp[:, :, ph : ph + h, pw : pw + wdt], gw.reshape(c, 1, kh, kw)]
-        if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        gx = gxp[:, :, ph : ph + h, pw : pw + wdt]
+        return gx, gw.reshape(c, 1, kh, kw), g.sum(axis=(0, 2, 3))
 
     return out, bwd
 
@@ -739,8 +727,7 @@ def _conv2d_im2col(x, w, b, stride, padding, out_hw):
     pat2 = np.ascontiguousarray(pat.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * kh * kw)
     w2 = w.reshape(cout, cin * kh * kw)
     out = np.ascontiguousarray((pat2 @ w2.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
-    if b is not None:
-        out += b[None, :, None, None]
+    out += b[None, :, None, None]
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
@@ -751,10 +738,7 @@ def _conv2d_im2col(x, w, b, stride, padding, out_hw):
             for v in range(kw):
                 gxp[:, :, u : u + sh * ho : sh, v : v + sw * wo : sw] += gpat[:, :, :, :, u, v]
         gx = gxp[:, :, ph : ph + h, pw : pw + wdt] if (ph or pw) else gxp
-        grads = [gx, gw]
-        if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
     return out, bwd
 

@@ -257,6 +257,9 @@ def train(
     start = 0
     if resume_from is not None:
         start = load_training_checkpoint(resume_from, model, state)
+        if start > cfg.max_iters:
+            raise ConfigError(f"checkpoint {resume_from!r} is at iteration {start}, "
+                              f"past max_iters {cfg.max_iters}")
     history: list[float] = []
     model.train()
     for it in range(start, cfg.max_iters):

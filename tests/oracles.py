@@ -11,9 +11,9 @@ import numpy as np
 from incepformer.modules import InitCtx
 
 
-def make_init(seed=0, dtype="f64", bias=True):
+def make_init(seed=0, dtype="f64"):
     np_dtype = np.dtype(np.float64 if dtype == "f64" else np.float32)
-    return InitCtx(rng=np.random.default_rng(seed), dtype=np_dtype, with_bias=bias)
+    return InitCtx(rng=np.random.default_rng(seed), dtype=np_dtype)
 
 
 def int_valued(rng, shape):
@@ -47,8 +47,7 @@ def conv2d_loops(x, w, b, stride, padding, groups):
                                     * w[oc, ic, u, v]
                                 )
                     out[ni, oc, oy, ox] = acc
-            if b is not None:
-                out[ni, oc] += b[oc]
+            out[ni, oc] += b[oc]
     return out
 
 
@@ -100,8 +99,7 @@ def attention_loop_oracle(q_tok, kv_tok, attn):
     hd = attn.heads
     dk = attn.head_dim
     wq, wk, wv, wo = (t.data for t in (attn.wq, attn.wk, attn.wv, attn.wo))
-    bq, bk, bv, bo = (t.data if t is not None else np.zeros(c) for t in
-                      (attn.bq, attn.bk, attn.bv, attn.bo))
+    bq, bk, bv, bo = (t.data for t in (attn.bq, attn.bk, attn.bv, attn.bo))
     out = np.zeros((n, l, c))
     for ni in range(n):
         q = q_tok[ni] @ wq + bq

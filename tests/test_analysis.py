@@ -47,10 +47,9 @@ class TestParamCounting:
         assert closed.total_params == store.total_params()
 
     @pytest.mark.parametrize("knobs", [
-        {"with_bias": False},
         {"patch_mode": "overlap"},
         {"bypass_reduce_r1": True},
-        {"with_bias": False, "patch_mode": "overlap", "bypass_reduce_r1": True},
+        {"patch_mode": "overlap", "bypass_reduce_r1": True},
     ])
     def test_config_knobs_mirrored(self, knobs):
         cfg = dataclasses.replace(micro(), **knobs)
@@ -61,8 +60,8 @@ class TestParamCounting:
     @pytest.mark.parametrize("cfg", [
         micro(),
         ipt_t(),
-        dataclasses.replace(micro(), with_bias=False, bypass_reduce_r1=True, patch_mode="overlap"),
-    ], ids=["micro", "ipt_t", "micro-nobias-bypass-overlap"])
+        dataclasses.replace(micro(), bypass_reduce_r1=True, patch_mode="overlap"),
+    ], ids=["micro", "ipt_t", "micro-bypass-overlap"])
     def test_store_and_buffer_order_match_closed_form(self, cfg):
         # The enumeration order is the checkpoint byte order.
         rows = [r.layer for r in count_params(cfg).rows]
@@ -172,10 +171,10 @@ class TestFlops:
 
     @pytest.mark.parametrize("cfg", [
         ipt_t(),
-        dataclasses.replace(micro(), with_bias=False, bypass_reduce_r1=True, patch_mode="overlap"),
+        dataclasses.replace(micro(), bypass_reduce_r1=True, patch_mode="overlap"),
         dataclasses.replace(micro(), stages=tuple(
             StageConfig(channels=6, depth=2, reduction=r, heads=2, ffn_ratio=3) for r in (5, 3, 3, 1))),
-    ], ids=["ipt_t", "micro-nobias-bypass-overlap", "odd-reduction"])
+    ], ids=["ipt_t", "micro-bypass-overlap", "odd-reduction"])
     @pytest.mark.parametrize("hw", [(32, 32), (64, 96), (512, 512)])
     def test_param_rows_do_not_depend_on_input_size(self, cfg, hw):
         params = count_params(cfg).rows

@@ -313,7 +313,7 @@ class TestBackward:
         x = t64(np.arange(6.0).reshape(1, 1, 2, 3), grad=True)
         w = t64(np.ones((1, 1, 1, 1)), grad=True)
         with GradTape() as tape:
-            y = T.conv2d(x, w)
+            y = T.conv2d(x, w, t64(np.zeros(1)))
             z = T.reshape(T.relu(y), (6,))
             loss = T.tsum(T.mul(z, z))
         backward(loss, tape)
@@ -332,7 +332,7 @@ class TestBackward:
 
         def f(args):
             xx, ww, gg, bb = args
-            y = T.conv2d(xx, ww, stride=(1, 1), padding=(1, 1))
+            y = T.conv2d(xx, ww, t64(np.zeros(2)), stride=(1, 1), padding=(1, 1))
             y = T.batch_norm2d(y, gg, bb, np.zeros(2), np.ones(2),
                                mode="train", update_running=False)
             y = T.softmax(T.img2seq(y), axis=-1)
@@ -448,7 +448,7 @@ class TestFiniteDiff:
         x = t64(rng.standard_normal((2, 3)))
 
         def loss_fn():
-            return T.tsum(T.linear(T.relu(T.linear(x, w1)), w2))
+            return T.tsum(T.linear(T.relu(T.linear(x, w1, t64(np.zeros(4)))), w2, t64(np.zeros(1))))
 
         with GradTape() as tape:
             loss = loss_fn()

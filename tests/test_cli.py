@@ -58,7 +58,8 @@ HOSTILE_INPUTS = {
     "config-width-not-integer": (ANALYZE, config_text('"abc"', "decoder_channels"), 3),
     "config-stages-not-list": (ANALYZE, config_text("5", "stages"), 3),
     "config-eps-list": (ANALYZE, config_text("[1]", "norm_eps"), 3),
-    "config-bias-string": (ANALYZE, config_text('"false"', "with_bias"), 3),
+    "config-bypass-string": (ANALYZE, config_text('"false"', "bypass_reduce_r1"), 3),
+    "config-with-bias-field": (ANALYZE, config_text("true", "with_bias"), 3),
     "config-int-too-long": (ANALYZE, config_text("1" + "0" * 5000, "decoder_channels"), 3),
     "config-channels-inf": (ANALYZE, config_text("1e400", "channels", stage=0), 3),
     "config-width-inf": (ANALYZE, config_text("1e400", "decoder_channels"), 3),
@@ -170,6 +171,22 @@ class TestTrainEvalCommands:
         last = out.strip().splitlines()[-1]
         assert last.startswith("miou,")
         assert 0.0 <= float(last.split(",")[1]) <= 1.0
+
+    def test_resume_past_iters_is_config_error(self, tmp_path, capsys):
+        # Resumed with --iters 1, a 3-iteration checkpoint once exited 0 and
+        # was written back with counter 1 over moments of 3 AdamW steps.
+        train_argv = ["train", "--model", "micro", "--crop", "32x32"]
+        first = str(tmp_path / "a.ckpt")
+        assert run_cli(train_argv + ["--iters", "3", "--checkpoint", first]) == 0
+        capsys.readouterr()
+        past = tmp_path / "b.ckpt"
+        assert run_cli(train_argv + ["--iters", "1", "--resume", first, "--checkpoint", str(past)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "iteration 3" in err
+        assert not past.exists()
+        at = str(tmp_path / "c.ckpt")
+        assert run_cli(train_argv + ["--iters", "3", "--resume", first, "--checkpoint", at]) == 0
+        assert load_checkpoint(at)[1] == 3
 
     def test_eval_table_format_is_usage_error(self, capsys):
         assert run_cli(["eval", "--model", "micro", "--format", "table"]) == 2
@@ -362,6 +379,28 @@ class TestExitCodes:
         assert run_cli([a.format(image=image, out=tmp_path / "mask.pgm") for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "multiples of 32" in err
+
+    # 8224 is the first multiple of 32 past the 8192 bound; the 20-digit
+    # sides once reached numpy and raised ValueError.
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "micro", "--iters", "1", "--crop", "8224x32"],
+        ["eval", "--model", "micro", "--crop", "32x8224"],
+        ["gradcheck", "--model", "micro", "--input", "32x8224"],
+        ["analyze", "--model", "micro", "--input", "8224x8224"],
+        ["infer", "{image}", "--model", "micro", "--out", "{out}"],
+        ["train", "--model", "micro", "--iters", "1", "--crop", "9223372036854775808x32"],
+        ["eval", "--model", "micro", "--crop", "99999999999999999968x32"],
+        ["gradcheck", "--model", "micro", "--input", "99999999999999999968x32"],
+    ], ids=["train-crop", "eval-crop", "gradcheck-input", "analyze-input", "infer-image",
+            "train-crop-huge", "eval-crop-huge", "gradcheck-input-huge"])
+    def test_size_above_bound(self, argv, tmp_path, capsys):
+        image = tmp_path / "image.pgm"
+        write_pgm(str(image), np.zeros((32, 8224), dtype=np.uint8))
+        out = tmp_path / "mask.pgm"
+        assert run_cli([a.format(image=image, out=out) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "up to 8192" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--iters", "1", "--checkpoint", "{out}"],

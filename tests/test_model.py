@@ -100,13 +100,13 @@ class TestConfig:
         assert load_model_config(str(path)) == PRESETS[name]()
 
     @pytest.mark.parametrize("field,value", [
-        ("with_bias", "false"), ("with_bias", 1),
+        ("bypass_reduce_r1", "false"), ("bypass_reduce_r1", 1),
         ("channels", 8.9), ("channels", True),
         ("norm_eps", math.nan), ("norm_eps", math.inf), ("norm_eps", "1e-5"), ("norm_eps", 10**400),
     ])
     def test_value_of_wrong_json_kind_rejected(self, field, value):
-        # Each once passed through int(), bool() or float(): "false" built
-        # biases, 8.9 became 8 channels, a NaN eps made every norm output beta.
+        # Each once passed through int(), bool() or float(): "false" read as
+        # true, 8.9 became 8 channels, a NaN eps made every norm output beta.
         doc = to_dict(micro())
         (doc["stages"][0] if field == "channels" else doc)[field] = value
         with pytest.raises(ConfigError, match=field):

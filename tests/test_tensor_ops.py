@@ -28,9 +28,9 @@ class TestConv2d:
     def test_hand_2x2_sum(self):
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
         w = t64(np.ones((1, 1, 2, 2)))
-        out = T.conv2d(x, w)
+        out = T.conv2d(x, w, t64([0.5]))
         assert out.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == 10.0
+        assert out.data[0, 0, 0, 0] == 10.5
 
     # ksp = (kernel, stride, padding, groups).  Dense convs have 2 output
     # channels; depthwise ones (groups == C) use the model's geometries with
@@ -54,18 +54,17 @@ class TestConv2d:
         x = int_valued(rng, shape)
         w = int_valued(rng, (cout, shape[1] // groups, kh, kw))
         b = int_valued(rng, (cout,))
-        for bias in (b, None):
-            got = T.conv2d(t64(x), t64(w), None if bias is None else t64(bias),
-                           stride=stride, padding=padding, groups=groups)
-            want = conv2d_loops(x, w, bias, stride, padding, groups)
-            assert (got.data == want).all()  # exactly representable values
+        got = T.conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding, groups=groups)
+        want = conv2d_loops(x, w, b, stride, padding, groups)
+        assert (got.data == want).all()  # exactly representable values
 
     def test_matches_loop_oracle_float(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3, 3, 3))
-        got = T.conv2d(t64(x), t64(w), stride=(1, 1), padding=(1, 1))
-        want = conv2d_loops(x, w, None, (1, 1), (1, 1), 1)
+        b = rng.standard_normal(4)
+        got = T.conv2d(t64(x), t64(w), t64(b), stride=(1, 1), padding=(1, 1))
+        want = conv2d_loops(x, w, b, (1, 1), (1, 1), 1)
         np.testing.assert_allclose(got.data, want, rtol=1e-13, atol=1e-13)
 
     def test_depthwise_equals_per_channel_loop(self):
@@ -73,9 +72,11 @@ class TestConv2d:
         c = 4
         x = int_valued(rng, (2, c, 6, 6))
         w = int_valued(rng, (c, 1, 3, 3))
-        full = T.conv2d(t64(x), t64(w), stride=(1, 1), padding=(1, 1), groups=c)
+        b = int_valued(rng, (c,))
+        full = T.conv2d(t64(x), t64(w), t64(b), stride=(1, 1), padding=(1, 1), groups=c)
         per = [
-            T.conv2d(t64(x[:, i : i + 1]), t64(w[i : i + 1]), stride=(1, 1), padding=(1, 1)).data
+            T.conv2d(t64(x[:, i : i + 1]), t64(w[i : i + 1]), t64(b[i : i + 1]),
+                     stride=(1, 1), padding=(1, 1)).data
             for i in range(c)
         ]
         assert np.abs(full.data - np.concatenate(per, axis=1)).max() == 0.0
@@ -84,13 +85,13 @@ class TestConv2d:
         x = t64(np.zeros((1, 3, 4, 4)))
         w = t64(np.zeros((4, 1, 1, 1)))
         with pytest.raises(ConfigError):
-            T.conv2d(x, w, groups=2)
+            T.conv2d(x, w, t64(np.zeros(4)), groups=2)
         # Groups that divide the channels but are neither dense nor depthwise.
         for cin, cout, groups in ((4, 4, 2), (3, 6, 3)):
             x = t64(np.zeros((1, cin, 4, 4)))
             w = t64(np.zeros((cout, cin // groups, 1, 1)))
             with pytest.raises(ConfigError):
-                T.conv2d(x, w, groups=groups)
+                T.conv2d(x, w, t64(np.zeros(cout)), groups=groups)
             with pytest.raises(ConfigError):
                 Conv2d(cin, cout, 1, groups=groups, init=make_init())
 
@@ -98,7 +99,7 @@ class TestConv2d:
         x = t64(np.zeros((1, 1, 3, 3)))
         w = t64(np.zeros((1, 1, 5, 5)))
         with pytest.raises(ShapeError, match="height"):
-            T.conv2d(x, w)
+            T.conv2d(x, w, t64(np.zeros(1)))
 
 
 class TestDepthwiseBlocking:
@@ -106,19 +107,19 @@ class TestDepthwiseBlocking:
     output or of any gradient."""
 
     @staticmethod
-    def run(shape, kernel, stride, padding, bias, dtype, budget, monkeypatch):
+    def run(shape, kernel, stride, padding, dtype, budget, monkeypatch):
         monkeypatch.setattr(T, "BLOCK_BYTES", budget)
         rng = np.random.default_rng(21)
         c = shape[1]
         x = T.parameter(rng.standard_normal(shape), dtype=dtype)
         w = T.parameter(rng.standard_normal((c, 1) + kernel), dtype=dtype)
-        b = T.parameter(rng.standard_normal(c), dtype=dtype) if bias else None
+        b = T.parameter(rng.standard_normal(c), dtype=dtype)
         with T.GradTape() as tape:
             out = T.conv2d(x, w, b, stride=stride, padding=padding, groups=c)
             proj = Tensor(rng.standard_normal(out.shape), dtype=dtype)
             loss = T.tsum(T.mul(out, proj))
         T.backward(loss, tape)
-        return [out.data, x.grad, w.grad] + ([b.grad] if bias else [])
+        return [out.data, x.grad, w.grad, b.grad]
 
     # C = 5 channels: a two-channel budget leaves a ragged last block of one.
     @pytest.mark.parametrize("shape,kernel,stride,padding", [
@@ -128,10 +129,8 @@ class TestDepthwiseBlocking:
         ((1, 5, 8, 16), (1, 4), (1, 4), (0, 0)),
         ((2, 5, 16, 8), (4, 1), (4, 1), (0, 0)),
     ])
-    @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_blocked_equals_unblocked_bitwise(self, shape, kernel, stride, padding, bias, dtype,
-                                              monkeypatch):
+    def test_blocked_equals_unblocked_bitwise(self, shape, kernel, stride, padding, dtype, monkeypatch):
         n, _, h, w = shape
         (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
         ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
@@ -140,9 +139,9 @@ class TestDepthwiseBlocking:
         item = np.dtype(T.DTYPES[dtype]).itemsize
         # Bytes one channel of a block takes (see _conv2d_depthwise).
         per_channel = n * ((h + 2 * ph + wide) * (w + 2 * pw) + 2 * ho * cols) * item
-        whole = self.run(shape, kernel, stride, padding, bias, dtype, 1 << 40, monkeypatch)
+        whole = self.run(shape, kernel, stride, padding, dtype, 1 << 40, monkeypatch)
         for budget in (1, 2 * per_channel, 3 * per_channel):
-            blocked = self.run(shape, kernel, stride, padding, bias, dtype, budget, monkeypatch)
+            blocked = self.run(shape, kernel, stride, padding, dtype, budget, monkeypatch)
             for got, want in zip(blocked, whole):
                 assert got.tobytes() == want.tobytes()
 
@@ -602,6 +601,7 @@ class TestEngineContracts:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
-        one = T.conv2d(t64(x), t64(w), padding=(1, 1)).data
-        two = T.conv2d(t64(x), t64(w), padding=(1, 1)).data
+        b = rng.standard_normal(4)
+        one = T.conv2d(t64(x), t64(w), t64(b), padding=(1, 1)).data
+        two = T.conv2d(t64(x), t64(w), t64(b), padding=(1, 1)).data
         np.testing.assert_array_equal(one, two)

@@ -7,8 +7,8 @@ Prints one line per fingerprint:
 * ``train()`` at batch 2, seed 3, 64x64 crops with the default scale/flip
   augmentation: the loss of every iteration as ``float.hex``, then the
   SHA-256 of the final checkpoint.  Runs micro f32 x6, micro f64 x3,
-  micro with overlapping patch embeds f32 x4, micro without biases and with
-  the R=1 reduction bypassed f32 x3, micro with reductions (3, 3, 3, 1)
+  micro with overlapping patch embeds f32 x4, micro with the R=1
+  reduction bypassed f32 x3, micro with reductions (3, 3, 3, 1)
   f32 x3 (stages 1-3 zero-pad before reducing) and ipt-t f32 x2 iterations.
 * the same for ipt-t f32 x2 at batch 1 and 256x256 crops, where the
   decoder and stage-1 attention record several blocks on the tape.
@@ -19,8 +19,8 @@ Prints one line per fingerprint:
   hash, but should leave the labels as they are.
 * the SHA-256 of every `emit_report` format of `count_params` and of
   `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset
-  as is, without biases, with overlapping patch embeds, with the R=1
-  reduction bypassed and with all three, plus the odd-reduction micro.
+  as is, with overlapping patch embeds, with the R=1 reduction bypassed
+  and with both, plus the odd-reduction micro.
 * the number of recorded ops and the SHA-256 of the tape gradients of every
   parameter, in store order, for one loss: the composition of
   `incepformer gradcheck` (micro f64, 32x32, batch 2, BatchNorm frozen),
@@ -63,13 +63,12 @@ RUNS = (
     ("micro-f32", micro(), "f32", 6),
     ("micro-f64", micro(), "f64", 3),
     ("micro-overlap-f32", dataclasses.replace(micro(), patch_mode="overlap"), "f32", 4),
-    ("micro-nobias-bypass-f32", dataclasses.replace(micro(), with_bias=False, bypass_reduce_r1=True),
-     "f32", 3),
+    ("micro-bypass-f32", dataclasses.replace(micro(), bypass_reduce_r1=True), "f32", 3),
     ("micro-r3331-f32", ODD_REDUCTION, "f32", 3),
     ("ipt-t-f32", ipt_t(), "f32", 2),
 )
-KNOBS = ({}, {"with_bias": False}, {"patch_mode": "overlap"}, {"bypass_reduce_r1": True},
-         {"with_bias": False, "patch_mode": "overlap", "bypass_reduce_r1": True})
+KNOBS = ({}, {"patch_mode": "overlap"}, {"bypass_reduce_r1": True},
+         {"patch_mode": "overlap", "bypass_reduce_r1": True})
 ANALYZE_CONFIGS = [dataclasses.replace(mk(), **knobs) for mk in PRESETS.values() for knobs in KNOBS]
 ANALYZE_CONFIGS.append(ODD_REDUCTION)
 ANALYZE_SIZES = ((32, 32), (64, 96), (512, 512), (1024, 2048))
