@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gradcheck import check_model_gradients, check_op_gradients, finite_diff_grad
 from .metrics import ConfusionMatrix, eval_miou
-from .model import FeaturePyramid, IncepFormer, build_model
+from .model import IncepFormer, build_model
 from .modules import ParameterStore
 from .tensor import GradTape, Tensor, backward
 from .train import OptimState, TrainConfig, adamw_step, cross_entropy, poly_lr, train
@@ -41,7 +41,6 @@ __all__ = [
     "CheckpointError",
     "ConfigError",
     "ContractError",
-    "FeaturePyramid",
     "GradTape",
     "IncepFormer",
     "IncepFormerError",

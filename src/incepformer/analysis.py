@@ -203,28 +203,19 @@ class DecoderSweep:
     channels: list[int]
     reports: list[CostReport]
     param_deltas: list[int]
-    flop_deltas: list[int]
 
 
-def compare_decoder_channels(cfg: ModelConfig, channels: list[int],
-                             input_hw: tuple[int, int] | None = None) -> DecoderSweep:
-    """One report per decoder width, plus deltas between consecutive widths."""
+def compare_decoder_channels(cfg: ModelConfig, channels: list[int]) -> DecoderSweep:
+    """One parameter report per decoder width, plus the parameter deltas
+    between consecutive widths."""
     if not channels or any(c < 1 for c in channels):
         raise ConfigError("decoder channel list must contain positive values")
-    reports = []
-    for c in channels:
-        variant = replace(cfg, decoder_channels=int(c))
-        if input_hw is None:
-            reports.append(count_params(variant))
-        else:
-            reports.append(estimate_flops(variant, *input_hw))
+    reports = [count_params(replace(cfg, decoder_channels=int(c))) for c in channels]
     p = [r.total_params for r in reports]
-    f = [r.hook_profiler_flops for r in reports]
     return DecoderSweep(
         channels=list(channels),
         reports=reports,
         param_deltas=[b - a for a, b in zip(p, p[1:])],
-        flop_deltas=[b - a for a, b in zip(f, f[1:])],
     )
 
 

@@ -177,7 +177,6 @@ def _cmd_infer(args) -> int:
         raise ContractError("more than 256 classes cannot be written as 8-bit PGM")
     image = read_image(args.image)
     _, h, w = image.shape
-    check_input_size(h, w, f"image {args.image!r}")
     model = build_model(cfg, seed=args.seed, dtype=args.dtype)
     if args.checkpoint:
         load_training_checkpoint(args.checkpoint, model)

@@ -9,7 +9,6 @@ token sequences exist only inside attention (`IncepMHSA`, `IncepReduce`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,19 +200,6 @@ class Stage(Module):
     __call__ = forward
 
 
-@dataclass
-class FeaturePyramid:
-    """Encoder outputs at 1/4, 1/8, 1/16 and 1/32 of the input resolution."""
-
-    f1: Tensor
-    f2: Tensor
-    f3: Tensor
-    f4: Tensor
-
-    def as_list(self) -> list[Tensor]:
-        return [self.f1, self.f2, self.f3, self.f4]
-
-
 class Decoder(Module):
     """Upsample every pyramid level to 1/4 resolution, concatenate along
     channels, then two 1x1 convolutions down to class logits.
@@ -232,8 +218,7 @@ class Decoder(Module):
         self.fuse = Conv2d(cfg.concat_channels, cfg.decoder_channels, 1, init=init)
         self.classify = Conv2d(cfg.decoder_channels, cfg.num_classes, 1, init=init)
 
-    def forward(self, pyr: FeaturePyramid) -> Tensor:
-        feats = pyr.as_list()
+    def forward(self, feats: list[Tensor]) -> Tensor:
         h4, w4 = feats[0].shape[2], feats[0].shape[3]
         for i, f in enumerate(feats[1:], start=2):
             expect = (h4 // 2 ** (i - 1), w4 // 2 ** (i - 1))
@@ -263,7 +248,9 @@ class IncepFormer(Module):
             cin = cfg.stages[i - 1].channels
         self.decoder = Decoder(cfg, init)
 
-    def encode(self, image: Tensor) -> FeaturePyramid:
+    def encode(self, image: Tensor) -> list[Tensor]:
+        """The four stage outputs, at 1/4, 1/8, 1/16 and 1/32 of the input
+        resolution."""
         if image.ndim != 4 or image.shape[1] != 3:
             raise ShapeError(f"expected [N, 3, H, W] image, got {image.shape}")
         h, w = image.shape[2], image.shape[3]
@@ -274,7 +261,7 @@ class IncepFormer(Module):
         for i in range(1, 5):
             x = getattr(self, f"stage{i}")(x)
             feats.append(x)
-        return FeaturePyramid(*feats)
+        return feats
 
     def forward(self, image: Tensor) -> Tensor:
         return self.decoder(self.encode(image))

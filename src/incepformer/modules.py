@@ -10,7 +10,7 @@ Names are slash-delimited paths, e.g. "stage1/block0/attn/wq".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -35,7 +35,7 @@ class InitCtx:
 
     rng: np.random.Generator
     dtype: np.dtype
-    n_params: int = 0
+    n_params: int = field(default=0, init=False)
 
     def _claim(self, *shape: int) -> tuple:
         self.n_params += math.prod(shape)
@@ -132,7 +132,7 @@ class ParameterStore:
 
 class Conv2d(Module):
     def __init__(self, cin: int, cout: int, kernel, stride=(1, 1), padding=(0, 0),
-                 groups: int = 1, init: InitCtx = None):
+                 groups: int = 1, *, init: InitCtx):
         kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
         T.check_conv_groups(cin, cout, groups)
         self.stride = (stride, stride) if isinstance(stride, int) else tuple(stride)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .checkpoint import atomic_write
+from .config import check_input_size
 from .errors import ContractError
 
 
@@ -50,7 +51,9 @@ def _tokens(data: bytes):
 def read_image(path: str) -> np.ndarray:
     """Read a P5 or P6 file as float32 [3, H, W] in [0, 1].
 
-    Grayscale input is replicated across the three channels.
+    Grayscale input is replicated across the three channels.  The
+    input-size rule is applied to the header's dims, before any pixel is
+    decoded.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -70,6 +73,7 @@ def read_image(path: str) -> np.ndarray:
         raise ContractError(f"{path}: image dims must be positive, got {w}x{h}")
     if maxval != 255:
         raise ContractError(f"{path}: only maxval 255 is supported, got {maxval}")
+    check_input_size(h, w, f"image {path!r}")
     channels = 3 if magic == b"P6" else 1
     payload = data[end + 1 : end + 1 + w * h * channels]
     if len(payload) != w * h * channels:

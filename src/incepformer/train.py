@@ -23,6 +23,12 @@ from .model import IncepFormer, build_model
 from .modules import ParameterStore
 from .tensor import GradTape, Tensor, backward, record_op
 
+# AdamW's fixed settings: decoupled weight decay, moment decay rates, and
+# the eps added to sqrt(v).
+WEIGHT_DECAY = 0.01
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -30,9 +36,6 @@ class TrainConfig:
     power: float = 0.9
     max_iters: int = 100
     batch_size: int = 2
-    weight_decay: float = 0.01
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     crop: tuple[int, int] = (64, 64)
     scale_range: tuple[float, float] = (0.5, 2.0)
     flip_prob: float = 0.5
@@ -49,12 +52,10 @@ class TrainConfig:
         if self.max_iters < 1 or self.batch_size < 1:
             raise ConfigError("max_iters and batch_size must be >= 1")
         # Every comparison with NaN is False, and `x < math.inf` rejects inf.
-        if not (0 < self.base_lr < math.inf and 0 < self.eps < math.inf):
-            raise ConfigError(f"base_lr and eps must be finite and positive, got {self.base_lr}, {self.eps}")
-        if not (0 <= self.power < math.inf and 0 <= self.weight_decay < math.inf and self.seed >= 0):
-            raise ConfigError("power, weight_decay and seed must be finite and non-negative")
-        if not all(0 <= b < 1 for b in self.betas):
-            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
+        if not (0 <= self.power < math.inf and self.seed >= 0):
+            raise ConfigError("power and seed must be finite and non-negative")
 
 
 @dataclass
@@ -83,17 +84,17 @@ def poly_lr(iteration: int, cfg: TrainConfig) -> float:
 
 
 def adamw_step(params: ParameterStore, grads: Mapping[str, np.ndarray],
-               state: OptimState, lr: float, cfg: TrainConfig):
+               state: OptimState, lr: float):
     """One AdamW update over every parameter, in store order.
 
     Weight decay is decoupled (applied to the weights directly).  The update
     uses the efficient Adam formulation: the step size folds in the bias
     corrections and eps is added to the uncorrected sqrt(v).
     """
-    b1, b2 = cfg.betas
+    b1, b2 = ADAMW_BETAS
     t = state.step + 1
     step_size = lr * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
-    decay = 1.0 - lr * cfg.weight_decay
+    decay = 1.0 - lr * WEIGHT_DECAY
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -105,9 +106,8 @@ def adamw_step(params: ParameterStore, grads: Mapping[str, np.ndarray],
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        if cfg.weight_decay:
-            p.data *= decay
-        p.data -= step_size * m / (np.sqrt(v) + cfg.eps)
+        p.data *= decay
+        p.data -= step_size * m / (np.sqrt(v) + ADAMW_EPS)
     state.step = t
 
 
@@ -280,7 +280,7 @@ def train(
         except NumericsError as e:
             raise NumericsError(f"training aborted at iteration {it}: {e}") from e
         lr = poly_lr(it, cfg)
-        adamw_step(store, {name: p.grad for name, p in store.items()}, state, lr, cfg)
+        adamw_step(store, {name: p.grad for name, p in store.items()}, state, lr)
         value = loss.item()
         history.append(value)
         if log is not None:

@@ -78,10 +78,10 @@ def test_shape_suite():
         model = build_model(cfg, seed=0).eval()
         x = Tensor(np.random.default_rng(1).uniform(0, 1, (1, 3, 64, 64)), dtype="f32")
         pyr = model.encode(x)
-        spatial = [f.shape[2] for f in pyr.as_list()]
-        channels = [f.shape[1] for f in pyr.as_list()]
+        spatial = [f.shape[2] for f in pyr]
+        channels = [f.shape[1] for f in pyr]
         assert spatial == [16, 8, 4, 2], (cfg.name, spatial)
-        assert [f.shape[3] for f in pyr.as_list()] == [16, 8, 4, 2]
+        assert [f.shape[3] for f in pyr] == [16, 8, 4, 2]
         assert channels == [64, 128, 320, 512], (cfg.name, channels)
         logits = model.decoder(pyr)
         assert logits.shape == (1, 11, 16, 16), (cfg.name, logits.shape)

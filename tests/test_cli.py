@@ -55,6 +55,7 @@ HOSTILE_INPUTS = {
     "pgm-dims-not-integers": (INFER, b"P5\nabc 32\n255\n" + bytes(1024), 1),
     "pgm-maxval-not-integer": (INFER, b"P5\n32 32\nzz\n" + bytes(1024), 1),
     "pgm-negative-dims": (INFER, b"P5\n-32 -32\n255\n" + bytes(1024), 1),
+    "pgm-oversize-truncated": (INFER, b"P5\n8224 32\n255\n" + bytes(10), 3),
     "config-width-not-integer": (ANALYZE, config_text('"abc"', "decoder_channels"), 3),
     "config-stages-not-list": (ANALYZE, config_text("5", "stages"), 3),
     "config-eps-list": (ANALYZE, config_text("[1]", "norm_eps"), 3),

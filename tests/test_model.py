@@ -147,7 +147,7 @@ class TestPatchEmbed:
         cfg = dataclasses.replace(micro(), patch_mode="overlap")
         model = build_model(cfg, seed=0).eval()
         pyr = model.encode(rand_t((1, 3, 64, 64), dtype="f32"))
-        assert [f.shape[2] for f in pyr.as_list()] == [16, 8, 4, 2]
+        assert [f.shape[2] for f in pyr] == [16, 8, 4, 2]
 
 
 class TestIncepReduce:
@@ -452,7 +452,7 @@ class TestEncoderDecoder:
         model = build_model(cfg, seed=0).eval()
         x = rand_t((1, 3, 64, 64), dtype="f32")
         pyr = model.encode(x)
-        shapes = [(f.shape[1], f.shape[2], f.shape[3]) for f in pyr.as_list()]
+        shapes = [(f.shape[1], f.shape[2], f.shape[3]) for f in pyr]
         assert shapes == [(64, 16, 16), (128, 8, 8), (320, 4, 4), (512, 2, 2)]
 
     def test_block_counts_from_store_names(self):
@@ -475,7 +475,7 @@ class TestEncoderDecoder:
     def _pyramid(cfg, h4, w4, dtype):
         rng = np.random.default_rng(h4)
         levels = [rng.standard_normal((1, sc.channels, h4 >> i, w4 >> i)) for i, sc in enumerate(cfg.stages)]
-        return model_mod.FeaturePyramid(*[Tensor(a, dtype=dtype, requires_grad=True) for a in levels])
+        return [Tensor(a, dtype=dtype, requires_grad=True) for a in levels]
 
     DECODER_OPS = ["bilinear_upsample"] * 4 + ["concat", "conv2d", "conv2d"]
 
@@ -525,8 +525,7 @@ class TestEncoderDecoder:
         with GradTape() as tape:
             dec(pyr)
         assert sum(node.name == "concat" for node in tape.nodes) == 4
-        rows = check_function(lambda args: T.tsum(T.mul(dec(model_mod.FeaturePyramid(*args[:4])), proj)),
-                              pyr.as_list() + params, "decoder")
+        rows = check_function(lambda args: T.tsum(T.mul(dec(args[:4]), proj)), pyr + params, "decoder")
         assert len(rows) == 8
         assert all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
 
@@ -559,13 +558,13 @@ class TestEncoderDecoder:
             model.encode(rand_t((1, 3, 48, 48), dtype="f32"))
 
     def test_inconsistent_pyramid_rejected(self):
-        from incepformer.model import FeaturePyramid
-
         model = build_model(micro(num_classes=4), seed=0).eval()
-        pyr = model.encode(rand_t((1, 3, 64, 64), dtype="f32"))
-        broken = FeaturePyramid(pyr.f1, pyr.f3, pyr.f2, pyr.f4)
+        f1, f2, f3, f4 = model.encode(rand_t((1, 3, 64, 64), dtype="f32"))
         with pytest.raises(ShapeError, match="pyramid"):
-            model.decoder(broken)
+            model.decoder([f1, f3, f2, f4])
+        # Three levels of the right sizes fail fuse's channel check.
+        with pytest.raises(ShapeError):
+            model.decoder([f1, f2, f3])
 
     def test_forward_deterministic(self):
         model = build_model(micro(num_classes=4), seed=3).eval()
@@ -590,14 +589,12 @@ class TestEncoderDecoder:
         got = model(x).data
 
         # reference: pure patch-embed chain into the decoder
-        from incepformer.model import FeaturePyramid
-
         feats = []
         y = x
         for i in range(1, 5):
             y = getattr(model, f"stage{i}").patch(y)
             feats.append(y)
-        want = model.decoder(FeaturePyramid(*feats)).data
+        want = model.decoder(feats).data
         np.testing.assert_array_equal(got, want)
 
     def test_bypass_reduce_flag_drops_branch_params(self):
