@@ -75,13 +75,6 @@ class CostReport:
         return {r.layer: r.params for r in self.rows if r.category == CAT_PARAMS}
 
 
-def _patch_geometry(stage_index: int, mode: str) -> tuple[int, int]:
-    """(kernel, stride) of the patch-merging convolution."""
-    if mode == "nonoverlap":
-        return (4, 4) if stage_index == 1 else (2, 2)
-    return (7, 4) if stage_index == 1 else (3, 2)
-
-
 def conv_macs(kh: int, kw: int, cin: int, cout: int, groups: int, ho: int, wo: int) -> int:
     """Multiply-accumulates of one convolution: Kh*Kw*(Cin/groups)*Cout*Ho*Wo."""
     return kh * kw * (cin // groups) * cout * ho * wo
@@ -125,28 +118,26 @@ class _Walk:
         stage_hw = []
         for i, sc in enumerate(cfg.stages, start=1):
             c, r = sc.channels, sc.reduction
-            k, s = _patch_geometry(i, cfg.patch_mode)
-            sh, sw = sh // s, sw // s
+            k = 4 if i == 1 else 2
+            sh, sw = sh // k, sw // k
             stage_hw.append((sh, sw))
             pre = f"stage{i}"
             length = sh * sw
             self.conv(f"{pre}/patch/proj", cin, c, k, k, 1, sh, sw)
             self.norm(f"{pre}/patch/norm", c, "bn", length * c)
             ch, cw = -(-sh // r), -(-sw // r)
-            bypass = cfg.bypass_reduce_r1 and r == 1
-            l_kv = length if bypass else 3 * ch * cw
+            l_kv = 3 * ch * cw
             hidden = c * sc.ffn_ratio
             dk = c // sc.heads
             for j in range(sc.depth):
                 b = f"{pre}/block{j}"
                 self.norm(f"{b}/bn1", c, "bn", length * c)
                 red = f"{b}/attn/reduce"
-                if not bypass:
-                    self.conv(f"{red}/dw_1xr", c, c, 1, r, c, sh, cw)
-                    self.conv(f"{red}/dw_rx1", c, c, r, 1, c, ch, cw)
-                    self.conv(f"{red}/dw_3x3_b2", c, c, 3, 3, c, ch, cw)
-                    self.op(f"{red}/pool@avg", r * r * c * ch * cw, CAT_ELEMENTWISE)
-                    self.conv(f"{red}/dw_3x3_b3", c, c, 3, 3, c, ch, cw)
+                self.conv(f"{red}/dw_1xr", c, c, 1, r, c, sh, cw)
+                self.conv(f"{red}/dw_rx1", c, c, r, 1, c, ch, cw)
+                self.conv(f"{red}/dw_3x3_b2", c, c, 3, 3, c, ch, cw)
+                self.op(f"{red}/pool@avg", r * r * c * ch * cw, CAT_ELEMENTWISE)
+                self.conv(f"{red}/dw_3x3_b3", c, c, 3, 3, c, ch, cw)
                 self.norm(f"{red}/ln", c, "ln", l_kv * c)
                 for nm in ("wq", "wk", "wv", "wo"):
                     self.param(f"{b}/attn/{nm}", c * c)

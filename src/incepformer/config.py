@@ -8,8 +8,6 @@ gradient checking).
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Sequence, get_origin, get_type_hints
 
@@ -18,7 +16,6 @@ from .errors import ConfigError
 # IncepFormer's four patch embeddings stride 4, 2, 2 and 2, so every input
 # side must be a positive multiple of their product.
 INPUT_MULTIPLE = 32
-PATCH_MODES = ("nonoverlap", "overlap")
 # The most classes a config may declare: far above ADE20K's 150, and small
 # enough that the per-class palette and score planes stay cheap.
 MAX_NUM_CLASSES = 1 << 16
@@ -61,18 +58,19 @@ class StageConfig:
 class ModelConfig:
     """Full variant description: four stages plus decoder/head settings.
 
-    Every convolution and projection has a bias.  `bypass_reduce_r1`
-    switches the R=1 key/value reduction to a plain LayerNorm of the input
-    tokens instead of the literal three branches.
+    The encoder is fixed apart from its stages: non-overlapping patch
+    embeddings, the three-branch key/value reduction at every ratio, norm
+    eps 1e-5, and a bias on every convolution and projection.
     """
 
     stages: tuple[StageConfig, StageConfig, StageConfig, StageConfig]
     decoder_channels: int
     num_classes: int
-    patch_mode: str = "nonoverlap"
-    norm_eps: float = 1e-5
-    bypass_reduce_r1: bool = False
     name: str = "custom"
+    # Not fields: fixed values that only the benchmark's reference forward reads.
+    patch_mode = "nonoverlap"
+    norm_eps = 1e-5
+    bypass_reduce_r1 = False
 
     def validate(self):
         if len(self.stages) != 4:
@@ -83,10 +81,6 @@ class ModelConfig:
             raise ConfigError(f"decoder_channels must be positive, got {self.decoder_channels}")
         if not 2 <= self.num_classes <= MAX_NUM_CLASSES:
             raise ConfigError(f"num_classes must be in [2, {MAX_NUM_CLASSES}], got {self.num_classes}")
-        if self.patch_mode not in PATCH_MODES:
-            raise ConfigError(f"patch_mode must be one of {PATCH_MODES}, got {self.patch_mode!r}")
-        if not 0 <= self.norm_eps <= sys.float_info.max:
-            raise ConfigError(f"norm_eps must be finite and >= 0, got {self.norm_eps}")
 
     @property
     def concat_channels(self) -> int:
@@ -104,15 +98,13 @@ def check_input_size(h: int, w: int, what: str):
 _STAGE_FIELDS = tuple(f.name for f in fields(StageConfig))
 _MODEL_FIELDS = tuple(f.name for f in fields(ModelConfig))
 # The JSON kind each annotated field type is read from (`stages` is a tuple).
-_JSON_KINDS = {int: "an integer", bool: "true or false", float: "a finite number",
-               str: "a string", tuple: "a list"}
+_JSON_KINDS = {int: "an integer", str: "a string", tuple: "a list"}
 
 
 def _read(cls, doc, where: str) -> dict:
     """The fields of dataclass `cls` from the JSON object `doc`: none unknown,
     every one without a default present, and each value of its annotated
-    type's JSON kind.  Values are not converted, except that a float field
-    takes an integer as the float it equals."""
+    type's JSON kind.  Values are not converted."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(cls)}
@@ -125,10 +117,7 @@ def _read(cls, doc, where: str) -> dict:
     values = {}
     for key, value in doc.items():
         kind = get_origin(hints[key]) or hints[key]
-        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-            value = float(value)
-        ok = type(value) is (list if kind is tuple else kind)
-        if not ok or kind is float and not math.isfinite(value):
+        if type(value) is not (list if kind is tuple else kind):
             raise ConfigError(f"{where}.{key} must be {_JSON_KINDS[kind]}, got {value!r}")
         values[key] = value
     return values

@@ -19,17 +19,14 @@ from .modules import BatchNorm2d, Conv2d, InitCtx, LayerNorm, Module
 from .tensor import Tensor, resolve_dtype
 
 class PatchEmbed(Module):
-    """Strided projection between stages (x4 into stage 1, x2 afterwards)."""
+    """Non-overlapping k x k, stride-k projection between stages (k = 4 into
+    stage 1, 2 afterwards), then a BatchNorm."""
 
-    def __init__(self, stage_index: int, cin: int, cout: int, mode: str, init: InitCtx, eps: float):
-        first = stage_index == 1
-        if mode == "nonoverlap":
-            k, s, p = (4, 4, 0) if first else (2, 2, 0)
-        else:
-            k, s, p = (7, 4, 3) if first else (3, 2, 1)
+    def __init__(self, stage_index: int, cin: int, cout: int, init: InitCtx):
+        s = 4 if stage_index == 1 else 2
         self.stride_factor = s
-        self.proj = Conv2d(cin, cout, k, stride=s, padding=p, init=init)
-        self.norm = BatchNorm2d(cout, init, eps=eps)
+        self.proj = Conv2d(cin, cout, s, stride=s, init=init)
+        self.norm = BatchNorm2d(cout, init)
 
     def forward(self, x: Tensor) -> Tensor:
         h, w = x.shape[2], x.shape[3]
@@ -53,34 +50,29 @@ class IncepReduce(Module):
     every branch yields ceil(H/R) x ceil(W/R) positions.
     """
 
-    def __init__(self, channels: int, reduction: int, init: InitCtx, eps: float, bypass: bool = False):
+    def __init__(self, channels: int, reduction: int, init: InitCtx):
         if reduction < 1:
             raise ConfigError(f"reduction must be >= 1, got {reduction}")
-        self.reduction = reduction
-        self.bypass = bypass
-        if not bypass:
-            r = reduction
-            self.dw_1xr = Conv2d(channels, channels, (1, r), stride=(1, r), groups=channels, init=init)
-            self.dw_rx1 = Conv2d(channels, channels, (r, 1), stride=(r, 1), groups=channels, init=init)
-            self.dw_3x3_b2 = Conv2d(channels, channels, 3, stride=(r, r), padding=1, groups=channels, init=init)
-            self.dw_3x3_b3 = Conv2d(channels, channels, 3, stride=1, padding=1, groups=channels, init=init)
-        self.ln = LayerNorm(channels, init, eps=eps)
+        self.reduction = r = reduction
+        self.dw_1xr = Conv2d(channels, channels, (1, r), stride=(1, r), groups=channels, init=init)
+        self.dw_rx1 = Conv2d(channels, channels, (r, 1), stride=(r, 1), groups=channels, init=init)
+        self.dw_3x3_b2 = Conv2d(channels, channels, 3, stride=(r, r), padding=1, groups=channels, init=init)
+        self.dw_3x3_b3 = Conv2d(channels, channels, 3, stride=1, padding=1, groups=channels, init=init)
+        self.ln = LayerNorm(channels, init)
 
     def forward(self, x: Tensor) -> Tensor:
         _, _, h, w = x.shape
         r = self.reduction
         if h < r or w < r:
             raise ShapeError(f"input {h}x{w} smaller than reduction ratio {r}")
-        if not self.bypass:
-            ch, cw = -(-h // r), -(-w // r)
-            xpad = x
-            if ch * r != h or cw * r != w:
-                xpad = T.pad2d(x, (0, ch * r - h, 0, cw * r - w))
-            b1 = self.dw_rx1(self.dw_1xr(xpad))
-            b2 = self.dw_3x3_b2(x)
-            b3 = self.dw_3x3_b3(T.avg_pool2d(xpad, r))
-            x = T.concat([b1, b2, b3], axis=2)
-        return self.ln(T.img2seq(x))
+        ch, cw = -(-h // r), -(-w // r)
+        xpad = x
+        if ch * r != h or cw * r != w:
+            xpad = T.pad2d(x, (0, ch * r - h, 0, cw * r - w))
+        b1 = self.dw_rx1(self.dw_1xr(xpad))
+        b2 = self.dw_3x3_b2(x)
+        b3 = self.dw_3x3_b3(T.avg_pool2d(xpad, r))
+        return self.ln(T.img2seq(T.concat([b1, b2, b3], axis=2)))
 
     __call__ = forward
 
@@ -92,14 +84,12 @@ class IncepMHSA(Module):
     branches' sum: the grouping of the block composed on sequences, which
     tests pin bitwise."""
 
-    def __init__(self, channels: int, heads: int, reduction: int, init: InitCtx,
-                 eps: float, bypass_r1: bool = False):
+    def __init__(self, channels: int, heads: int, reduction: int, init: InitCtx):
         if channels % heads:
             raise ConfigError(f"channels ({channels}) not divisible by heads ({heads})")
         self.heads = heads
         self.head_dim = channels // heads
-        self.reduce = IncepReduce(channels, reduction, init, eps,
-                                  bypass=bypass_r1 and reduction == 1)
+        self.reduce = IncepReduce(channels, reduction, init)
         self.wq = init.linear_weight(channels, channels)
         self.wk = init.linear_weight(channels, channels)
         self.wv = init.linear_weight(channels, channels)
@@ -152,9 +142,9 @@ class EFFN(Module):
     """Feed-forward block on an [N, C, H, W] map:
     BN -> 1x1 conv (C -> ratio*C) -> 3x3 depthwise -> GELU -> 1x1 conv -> + input."""
 
-    def __init__(self, channels: int, ratio: int, init: InitCtx, eps: float):
+    def __init__(self, channels: int, ratio: int, init: InitCtx):
         hidden = channels * ratio
-        self.bn = BatchNorm2d(channels, init, eps=eps)
+        self.bn = BatchNorm2d(channels, init)
         self.fc1 = Conv2d(channels, hidden, 1, init=init)
         self.dw = Conv2d(hidden, hidden, 3, stride=1, padding=1, groups=hidden, init=init)
         self.fc2 = Conv2d(hidden, channels, 1, init=init)
@@ -169,11 +159,10 @@ class IPTBlock(Module):
     """Inception transformer block on an [N, C, H, W] map: BN -> attention ->
     + input, then the E-FFN sub-block (which owns the second BN and residual)."""
 
-    def __init__(self, channels: int, heads: int, reduction: int, ratio: int,
-                 init: InitCtx, eps: float, bypass_r1: bool = False):
-        self.bn1 = BatchNorm2d(channels, init, eps=eps)
-        self.attn = IncepMHSA(channels, heads, reduction, init, eps, bypass_r1)
-        self.ffn = EFFN(channels, ratio, init, eps)
+    def __init__(self, channels: int, heads: int, reduction: int, ratio: int, init: InitCtx):
+        self.bn1 = BatchNorm2d(channels, init)
+        self.attn = IncepMHSA(channels, heads, reduction, init)
+        self.ffn = EFFN(channels, ratio, init)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.ffn(T.add(x, self.attn(self.bn1(x))))
@@ -184,12 +173,11 @@ class IPTBlock(Module):
 class Stage(Module):
     def __init__(self, index: int, cin: int, cfg: ModelConfig, init: InitCtx):
         sc = cfg.stages[index - 1]
-        self.patch = PatchEmbed(index, cin, sc.channels, cfg.patch_mode, init, cfg.norm_eps)
+        self.patch = PatchEmbed(index, cin, sc.channels, init)
         self.depth = sc.depth
         for j in range(sc.depth):
             setattr(self, f"block{j}",
-                    IPTBlock(sc.channels, sc.heads, sc.reduction, sc.ffn_ratio,
-                             init, cfg.norm_eps, cfg.bypass_reduce_r1))
+                    IPTBlock(sc.channels, sc.heads, sc.reduction, sc.ffn_ratio, init))
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.patch(x)

@@ -148,8 +148,7 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, init: InitCtx, eps: float = 1e-5):
-        self.eps = eps
+    def __init__(self, channels: int, init: InitCtx):
         self.track_running = True
         self.gamma = init.ones(channels)
         self.beta = init.zeros(channels)
@@ -160,20 +159,18 @@ class BatchNorm2d(Module):
         mode = "train" if self.training else "eval"
         return T.batch_norm2d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            mode=mode, eps=self.eps,
-            update_running=self.track_running,
+            mode=mode, update_running=self.track_running,
         )
 
     __call__ = forward
 
 
 class LayerNorm(Module):
-    def __init__(self, channels: int, init: InitCtx, eps: float = 1e-5):
-        self.eps = eps
+    def __init__(self, channels: int, init: InitCtx):
         self.gamma = init.ones(channels)
         self.beta = init.zeros(channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
     __call__ = forward

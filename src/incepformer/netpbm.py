@@ -9,6 +9,10 @@ from .checkpoint import atomic_write
 from .config import check_input_size
 from .errors import ContractError
 
+# The most bytes of a file read to find its header (far above any real
+# header, comments included); the payload is then read by its exact size.
+HEADER_BYTES = 1 << 16
+
 
 def write_pgm(path: str, arr: np.ndarray):
     """P5, maxval 255, written atomically.  `arr` is [H, W] uint8."""
@@ -51,31 +55,36 @@ def _tokens(data: bytes):
 def read_image(path: str) -> np.ndarray:
     """Read a P5 or P6 file as float32 [3, H, W] in [0, 1].
 
-    Grayscale input is replicated across the three channels.  The
-    input-size rule is applied to the header's dims, before any pixel is
-    decoded.
+    Grayscale input is replicated across the three channels.  The header
+    must end within the first HEADER_BYTES of the file, and the input-size
+    rule is applied to its dims before any pixel is read.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    gen = _tokens(data)
-    try:
-        magic, _ = next(gen)
-        (wtok, _), (htok, _), (mtok, end) = next(gen), next(gen), next(gen)
-    except StopIteration:
-        raise ContractError(f"{path}: truncated netpbm header") from None
-    if magic not in (b"P5", b"P6"):
-        raise ContractError(f"{path}: unsupported netpbm magic {magic!r}")
-    try:
-        w, h, maxval = int(wtok), int(htok), int(mtok)
-    except ValueError:
-        raise ContractError(f"{path}: netpbm header fields must be integers") from None
-    if w < 1 or h < 1:
-        raise ContractError(f"{path}: image dims must be positive, got {w}x{h}")
-    if maxval != 255:
-        raise ContractError(f"{path}: only maxval 255 is supported, got {maxval}")
-    check_input_size(h, w, f"image {path!r}")
-    channels = 3 if magic == b"P6" else 1
-    payload = data[end + 1 : end + 1 + w * h * channels]
+        head = fh.read(HEADER_BYTES)
+        gen = _tokens(head)
+        try:
+            magic, _ = next(gen)
+            (wtok, _), (htok, _), (mtok, end) = next(gen), next(gen), next(gen)
+        except StopIteration:
+            end = len(head)
+        if end >= len(head):  # the whitespace byte that ends the header is not in `head`
+            what = ("truncated netpbm header" if len(head) < HEADER_BYTES
+                    else f"netpbm header longer than {HEADER_BYTES} bytes")
+            raise ContractError(f"{path}: {what}")
+        if magic not in (b"P5", b"P6"):
+            raise ContractError(f"{path}: unsupported netpbm magic {magic!r}")
+        try:
+            w, h, maxval = int(wtok), int(htok), int(mtok)
+        except ValueError:
+            raise ContractError(f"{path}: netpbm header fields must be integers") from None
+        if w < 1 or h < 1:
+            raise ContractError(f"{path}: image dims must be positive, got {w}x{h}")
+        if maxval != 255:
+            raise ContractError(f"{path}: only maxval 255 is supported, got {maxval}")
+        check_input_size(h, w, f"image {path!r}")
+        channels = 3 if magic == b"P6" else 1
+        fh.seek(end + 1)
+        payload = fh.read(w * h * channels)
     if len(payload) != w * h * channels:
         raise ContractError(f"{path}: truncated pixel payload")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)

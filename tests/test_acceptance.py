@@ -137,7 +137,7 @@ def test_flops():
 def test_attention_oracle():
     from oracles import attention_loop_oracle, make_init
 
-    attn = IncepMHSA(4, 2, 2, make_init(8), eps=1e-5)
+    attn = IncepMHSA(4, 2, 2, make_init(8))
     x = Tensor(np.random.default_rng(9).standard_normal((1, 4, 4)), dtype="f64")
     got = T.img2seq(attn(T.seq2img(x, 2, 2)))  # 4 query tokens, 3 key/value tokens
     o = attn.reduce(T.seq2img(x, 2, 2))
@@ -146,7 +146,7 @@ def test_attention_oracle():
     assert np.abs(got.data - want).max() < 1e-6
 
     for trial in range(100):
-        attn = IncepMHSA(4, 1, 2, make_init(1000 + trial), eps=1e-5)
+        attn = IncepMHSA(4, 1, 2, make_init(1000 + trial))
         v_const = np.random.default_rng(trial).standard_normal(4)
         attn.wv.data[...] = 0.0
         attn.bv.data[...] = v_const

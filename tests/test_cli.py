@@ -1,11 +1,11 @@
 """CLI behavior: subcommands, outputs, exit codes."""
 
 import copy
-import dataclasses
 import json
 import os
 import stat
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +13,13 @@ import pytest
 
 import incepformer
 from incepformer import cli as cli_mod, tensor as T
-from incepformer.analysis import count_params, emit_report, estimate_flops
+from incepformer.analysis import count_params, estimate_flops
 from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from incepformer.cli import _build_parser, run_cli
-from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro, to_dict
+from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro
+from incepformer.errors import ConfigError, ContractError
 from incepformer.model import build_model
-from incepformer.netpbm import read_image, write_pgm, write_ppm
+from incepformer.netpbm import HEADER_BYTES, read_image, write_pgm, write_ppm
 from incepformer.tensor import Tensor
 
 TINY_CONFIG = {
@@ -56,11 +57,13 @@ HOSTILE_INPUTS = {
     "pgm-maxval-not-integer": (INFER, b"P5\n32 32\nzz\n" + bytes(1024), 1),
     "pgm-negative-dims": (INFER, b"P5\n-32 -32\n255\n" + bytes(1024), 1),
     "pgm-oversize-truncated": (INFER, b"P5\n8224 32\n255\n" + bytes(10), 3),
+    "pgm-header-too-long": (INFER, b"P5\n#" + b"x" * HEADER_BYTES + b"\n32 32\n255\n" + bytes(1024), 1),
     "config-width-not-integer": (ANALYZE, config_text('"abc"', "decoder_channels"), 3),
     "config-stages-not-list": (ANALYZE, config_text("5", "stages"), 3),
-    "config-eps-list": (ANALYZE, config_text("[1]", "norm_eps"), 3),
-    "config-bypass-string": (ANALYZE, config_text('"false"', "bypass_reduce_r1"), 3),
     "config-with-bias-field": (ANALYZE, config_text("true", "with_bias"), 3),
+    "config-patch-mode-field": (ANALYZE, config_text('"overlap"', "patch_mode"), 3),
+    "config-norm-eps-field": (ANALYZE, config_text("1e-5", "norm_eps"), 3),
+    "config-bypass-field": (ANALYZE, config_text("false", "bypass_reduce_r1"), 3),
     "config-int-too-long": (ANALYZE, config_text("1" + "0" * 5000, "decoder_channels"), 3),
     "config-channels-inf": (ANALYZE, config_text("1e400", "channels", stage=0), 3),
     "config-width-inf": (ANALYZE, config_text("1e400", "decoder_channels"), 3),
@@ -111,16 +114,8 @@ class TestAnalyzeCommand:
                         "--out", str(path)]) == 0
         assert path.read_bytes().startswith(b"layer,params,flops\n")
 
-    def test_patch_mode_flag_changes_counts(self, tmp_path, capsys):
-        # patch_mode comes from the config file; no flag overrides a config field.
-        cfg = dataclasses.replace(micro(), patch_mode="overlap")
-        path = tmp_path / "overlap.json"
-        path.write_text(json.dumps(to_dict(cfg)))
-        assert run_cli(["analyze", "--model", "micro", "--format", "csv"]) == 0
-        nonoverlap = capsys.readouterr().out
-        assert run_cli(["analyze", "--model", str(path), "--format", "csv"]) == 0
-        overlap = capsys.readouterr().out
-        assert overlap == emit_report(count_params(cfg), "csv").decode() != nonoverlap
+    def test_patch_mode_flag_is_usage_error(self):
+        # The patch embedding is fixed, and no flag overrides a config field.
         assert run_cli(["analyze", "--model", "micro", "--patch-mode", "overlap"]) == 2
 
 
@@ -289,6 +284,37 @@ class TestInferCommand:
         write_ppm(str(src), np.zeros((50, 50, 3), dtype=np.uint8))
         assert run_cli(["infer", str(src), "--model", "micro",
                         "--out", str(tmp_path / "m.pgm")]) == 3
+
+    def test_rejected_header_reads_no_payload(self, tmp_path):
+        # A sparse 64 MiB file whose header breaks the input-size rule is
+        # rejected without its payload being read.
+        path = tmp_path / "wide.pgm"
+        header = b"P5 8224 2048 255\n"
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + 64 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="width 8224"):
+                read_image(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("pad,ok", [(0, False), (1, True)], ids=["at-bound", "inside-bound"])
+    def test_header_must_end_within_bound(self, tmp_path, pad, ok):
+        # The maxval token ends at byte HEADER_BYTES - pad; the header ends
+        # with the one whitespace byte after it.
+        body = b"32 32 255"
+        header = b"P5" + b" " * (HEADER_BYTES - pad - 2 - len(body)) + body + b"\n"
+        path = tmp_path / "in.pgm"
+        path.write_bytes(header + bytes(32 * 32))
+        if ok:
+            assert read_image(str(path)).shape == (3, 32, 32)
+        else:
+            with pytest.raises(ContractError, match=f"longer than {HEADER_BYTES} bytes"):
+                read_image(str(path))
 
     @pytest.mark.parametrize("writer,shape", [(write_pgm, (1, 2)), (write_ppm, (1, 2, 3))])
     def test_failed_write_keeps_previous_file(self, tmp_path, writer, shape):

@@ -1,8 +1,10 @@
 """Config handling and model architecture tests."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from incepformer.config import (
     MAX_DEPTH,
     MAX_NUM_CLASSES,
     PRESETS,
+    ModelConfig,
     StageConfig,
     dumps,
     from_dict,
@@ -107,28 +110,31 @@ class TestConfig:
     def test_value_of_wrong_json_kind_rejected(self, field, value):
         # Each once passed through int(), bool() or float(): "false" read as
         # true, 8.9 became 8 channels, a NaN eps made every norm output beta.
+        # `bypass_reduce_r1` and `norm_eps` are not fields, so those values
+        # fail as unknown fields, also by name.
         doc = to_dict(micro())
         (doc["stages"][0] if field == "channels" else doc)[field] = value
         with pytest.raises(ConfigError, match=field):
             from_dict(doc)
-
-    @pytest.mark.parametrize("value", [0, 1])
-    def test_integer_norm_eps_accepted(self, value):
-        doc = to_dict(micro())
-        doc["norm_eps"] = value
-        cfg = from_dict(doc)
-        assert cfg.norm_eps == value and type(cfg.norm_eps) is float
-
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, 10**400, -1e-5])
-    def test_non_finite_or_negative_norm_eps_rejected(self, eps):
-        with pytest.raises(ConfigError, match="norm_eps"):
-            dataclasses.replace(micro(), norm_eps=eps).validate()
 
     def test_parse_error_has_line_and_column(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"stages": [\n  oops\n]}')
         with pytest.raises(ConfigError, match=r"line 2"):
             load_model_config(str(path))
+
+    def test_fixed_encoder_choices_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "stages", "decoder_channels", "num_classes", "name"]
+        for field, value in (("patch_mode", "overlap"), ("norm_eps", 1e-6), ("bypass_reduce_r1", True)):
+            with pytest.raises(TypeError):
+                dataclasses.replace(micro(), **{field: value})
+
+    def test_readme_schema_example_is_ipt_t(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Model config schema", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert from_dict(json.loads(example)) == ipt_t()
 
 
 class TestPatchEmbed:
@@ -143,44 +149,33 @@ class TestPatchEmbed:
         with pytest.raises(ShapeError, match="divisible"):
             model.stage1.patch(rand_t((1, 3, 30, 30), dtype="f32"))
 
-    def test_overlap_mode_shapes(self):
-        cfg = dataclasses.replace(micro(), patch_mode="overlap")
-        model = build_model(cfg, seed=0).eval()
-        pyr = model.encode(rand_t((1, 3, 64, 64), dtype="f32"))
-        assert [f.shape[2] for f in pyr] == [16, 8, 4, 2]
-
 
 class TestIncepReduce:
     def test_token_count_8x8_r4(self):
-        red = IncepReduce(4, 4, make_init(), eps=1e-5)
+        red = IncepReduce(4, 4, make_init())
         out = red(rand_t((1, 4, 8, 8)))
         assert out.shape == (1, 12, 4)  # three 2x2 branches
 
     def test_r1_triples_tokens(self):
-        red = IncepReduce(4, 1, make_init(), eps=1e-5)
+        red = IncepReduce(4, 1, make_init())
         out = red(rand_t((1, 4, 3, 5)))
         assert out.shape == (1, 3 * 15, 4)
 
     def test_ceil_semantics_non_divisible(self):
-        red = IncepReduce(4, 4, make_init(), eps=1e-5)
+        red = IncepReduce(4, 4, make_init())
         out = red(rand_t((1, 4, 7, 9)))
         assert out.shape == (1, 3 * 2 * 3, 4)
 
     def test_input_smaller_than_r(self):
-        red = IncepReduce(4, 4, make_init(), eps=1e-5)
+        red = IncepReduce(4, 4, make_init())
         with pytest.raises(ShapeError):
             red(rand_t((1, 4, 3, 8)))
-
-    def test_bypass_keeps_input_tokens(self):
-        red = IncepReduce(4, 1, make_init(), eps=1e-5, bypass=True)
-        out = red(rand_t((1, 4, 3, 5)))
-        assert out.shape == (1, 15, 4)
 
     # The last case is stage 1 of a 512x512 input: 3 * 16 * 16 = 768 keys.
     @pytest.mark.parametrize("hw,r", [((8, 8), 8), ((16, 8), 4), ((6, 10), 2), ((5, 7), 3), ((128, 128), 8)])
     def test_kv_count_formula(self, hw, r):
         h, w = hw
-        red = IncepReduce(2, r, make_init(), eps=1e-5)
+        red = IncepReduce(2, r, make_init())
         out = red(rand_t((1, 2, h, w)))
         assert out.shape[1] == 3 * math.ceil(h / r) * math.ceil(w / r)
 
@@ -188,8 +183,6 @@ class TestIncepReduce:
     def _per_branch_tokens(red, x):
         """The reduction with each branch flattened to tokens before the
         token-axis concat."""
-        if red.bypass:
-            return red.ln(T.img2seq(x))
         _, _, h, w = x.shape
         r = red.reduction
         ch, cw = -(-h // r), -(-w // r)
@@ -202,10 +195,9 @@ class TestIncepReduce:
         return red.ln(T.concat([T.img2seq(b1), T.img2seq(b2), T.img2seq(b3)], axis=1))
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    @pytest.mark.parametrize("hw,r,bypass", [((8, 8), 4, False), ((5, 7), 3, False), ((3, 5), 1, True)],
-                             ids=["8x8-r4", "5x7-r3-padded", "bypass"])
-    def test_token_order_bitwise(self, dtype, hw, r, bypass):
-        red = IncepReduce(4, r, make_init(24, dtype=dtype), eps=1e-5, bypass=bypass)
+    @pytest.mark.parametrize("hw,r", [((8, 8), 4), ((5, 7), 3)], ids=["8x8-r4", "5x7-r3-padded"])
+    def test_token_order_bitwise(self, dtype, hw, r):
+        red = IncepReduce(4, r, make_init(24, dtype=dtype))
         x = rand_t((2, 4) + hw, seed=25, dtype=dtype)
         x.requires_grad = True
         leaves = [("x", x)] + list(red.named_parameters())
@@ -227,7 +219,7 @@ class TestIncepReduce:
 
 class TestIncepMHSA:
     def test_constant_value_rows_give_v(self):
-        attn = IncepMHSA(4, 1, 2, make_init(3), eps=1e-5)
+        attn = IncepMHSA(4, 1, 2, make_init(3))
         v = np.array([0.5, -1.0, 2.0, 0.25])
         attn.wv.data[...] = 0.0
         attn.bv.data[...] = v
@@ -237,7 +229,7 @@ class TestIncepMHSA:
         np.testing.assert_allclose(out.data, np.broadcast_to(v, (2, 16, 4)), atol=1e-12)
 
     def test_attend_matches_loop_oracle_2q_3kv(self):
-        attn = IncepMHSA(4, 1, 2, make_init(5), eps=1e-5)
+        attn = IncepMHSA(4, 1, 2, make_init(5))
         q = rand_t((1, 2, 4), seed=6)
         kv = rand_t((1, 3, 4), seed=7)
         got = attn.attend(q, kv)
@@ -246,7 +238,7 @@ class TestIncepMHSA:
 
     def test_full_forward_matches_oracle_small(self):
         # 2x2 input with R=2: 4 query tokens, 3 key/value tokens
-        attn = IncepMHSA(4, 2, 2, make_init(8), eps=1e-5)
+        attn = IncepMHSA(4, 2, 2, make_init(8))
         x = rand_t((1, 4, 4), seed=9)
         got = T.img2seq(attn(T.seq2img(x, 2, 2)))
         o = attn.reduce(T.seq2img(x, 2, 2))
@@ -258,7 +250,7 @@ class TestIncepMHSA:
         # pre-output-projection context of every token must lie inside the
         # per-head bounding box of the value rows (necessary hull condition)
         for trial in range(100):
-            attn = IncepMHSA(4, 1, 2, make_init(100 + trial), eps=1e-5)
+            attn = IncepMHSA(4, 1, 2, make_init(100 + trial))
             attn.wo.data[...] = np.eye(4)
             attn.bo.data[...] = 0.0
             x = rand_t((1, 16, 4), seed=200 + trial)
@@ -275,7 +267,7 @@ class TestIncepMHSA:
     def _blocked_setup(self, monkeypatch):
         """Two heads, 10 queries, 3 keys; a block of 3 query rows (18 f64
         scores), so four blocks, the last of one row."""
-        attn = IncepMHSA(4, 2, 2, make_init(31), eps=1e-5)
+        attn = IncepMHSA(4, 2, 2, make_init(31))
         monkeypatch.setattr(T, "BLOCK_BYTES", 3 * 2 * 3 * 8)
         softmaxes = []
         softmax = T.softmax
@@ -335,18 +327,18 @@ class TestIncepMHSA:
             x = np.ones((1, 3, 4, 5), dtype=T.DTYPES[dtype])
             assert [r1 - r0 for (r0, r1, _, _), _ in walk(x)] == [rows] * (16 // rows)
             softmaxes.clear()
-            attn = IncepMHSA(4, 2, 1, make_init(34, dtype=dtype), eps=1e-5)
+            attn = IncepMHSA(4, 2, 1, make_init(34, dtype=dtype))
             attn.attend(rand_t((1, 8, 4), seed=35, dtype=dtype), rand_t((1, 30, 4), seed=36, dtype=dtype))
             assert softmaxes == [rows] * (8 // rows)
 
     def test_channels_heads_error(self):
         with pytest.raises(ConfigError):
-            IncepMHSA(6, 4, 1, make_init(), eps=1e-5)
+            IncepMHSA(6, 4, 1, make_init())
 
 
 class TestEFFN:
     def test_residual_identity_with_zero_weights(self):
-        ffn = EFFN(4, 2, make_init(10), eps=1e-5)
+        ffn = EFFN(4, 2, make_init(10))
         for conv in (ffn.fc1, ffn.dw, ffn.fc2):
             conv.weight.data[...] = 0.0
             conv.bias.data[...] = 0.0
@@ -355,12 +347,12 @@ class TestEFFN:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_param_count_c64_ratio4(self):
-        ffn = EFFN(64, 4, make_init(), eps=1e-5)
+        ffn = EFFN(64, 4, make_init())
         total = sum(p.size for _, p in ffn.named_parameters())
         assert total == 16640 + 2560 + 16448 + 128 == 35776
 
     def test_shape_preserved(self):
-        ffn = EFFN(6, 3, make_init(12), eps=1e-5)
+        ffn = EFFN(6, 3, make_init(12))
         for hw in [(2, 5), (4, 4), (1, 8)]:
             x = rand_t((1, hw[0] * hw[1], 6), seed=13)
             assert T.img2seq(ffn(T.seq2img(x, *hw))).shape == x.shape
@@ -368,7 +360,7 @@ class TestEFFN:
 
 class TestIPTBlock:
     def _zeroed_block(self):
-        blk = IPTBlock(4, 1, 2, 2, make_init(14), eps=1e-5)
+        blk = IPTBlock(4, 1, 2, 2, make_init(14))
         for t in (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo,
                   blk.attn.bq, blk.attn.bk, blk.attn.bv, blk.attn.bo):
             t.data[...] = 0.0
@@ -384,14 +376,14 @@ class TestIPTBlock:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
-        blk = IPTBlock(8, 2, 2, 2, make_init(16), eps=1e-5)
+        blk = IPTBlock(8, 2, 2, 2, make_init(16))
         x = rand_t((1, 24, 8), seed=17)
         assert T.img2seq(blk(T.seq2img(x, 4, 6))).shape == x.shape
 
     def test_gradcheck_wq(self):
         from incepformer.model import freeze_batchnorm_stats
 
-        blk = IPTBlock(4, 1, 2, 1, make_init(18), eps=1e-5)
+        blk = IPTBlock(4, 1, 2, 1, make_init(18))
         freeze_batchnorm_stats(blk)
         x = rand_t((1, 16, 4), seed=19)
         proj = rand_t((1, 16, 4), seed=20)
@@ -424,7 +416,7 @@ class TestIPTBlock:
         from incepformer.model import freeze_batchnorm_stats
 
         h, w = hw
-        blk = IPTBlock(8, 2, 2, 2, make_init(21, dtype=dtype), eps=1e-5)
+        blk = IPTBlock(8, 2, 2, 2, make_init(21, dtype=dtype))
         freeze_batchnorm_stats(blk)
         x = rand_t((2, 8, h, w), seed=22, dtype=dtype)
         x.requires_grad = True
@@ -596,11 +588,3 @@ class TestEncoderDecoder:
             feats.append(y)
         want = model.decoder(feats).data
         np.testing.assert_array_equal(got, want)
-
-    def test_bypass_reduce_flag_drops_branch_params(self):
-        import dataclasses
-
-        cfg = dataclasses.replace(micro(), bypass_reduce_r1=True)
-        names = build_model(cfg, seed=0).parameter_store().names()
-        assert not [n for n in names if "stage4" in n and "reduce/dw" in n]
-        assert [n for n in names if "stage3" in n and "reduce/dw" in n]

@@ -7,9 +7,8 @@ Prints one line per fingerprint:
 * ``train()`` at batch 2, seed 3, 64x64 crops with the default scale/flip
   augmentation: the loss of every iteration as ``float.hex``, then the
   SHA-256 of the final checkpoint.  Runs micro f32 x6, micro f64 x3,
-  micro with overlapping patch embeds f32 x4, micro with the R=1
-  reduction bypassed f32 x3, micro with reductions (3, 3, 3, 1)
-  f32 x3 (stages 1-3 zero-pad before reducing) and ipt-t f32 x2 iterations.
+  micro with reductions (3, 3, 3, 1) f32 x3 (stages 1-3 zero-pad before
+  reducing) and ipt-t f32 x2 iterations.
 * the same for ipt-t f32 x2 at batch 1 and 256x256 crops, where the
   decoder and stage-1 attention record several blocks on the tape.
 * the SHA-256 of the eval-mode logits of one image for ipt-t f32 at
@@ -19,8 +18,7 @@ Prints one line per fingerprint:
   hash, but should leave the labels as they are.
 * the SHA-256 of every `emit_report` format of `count_params` and of
   `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset
-  as is, with overlapping patch embeds, with the R=1 reduction bypassed
-  and with both, plus the odd-reduction micro.
+  and the odd-reduction micro.
 * the number of recorded ops and the SHA-256 of the tape gradients of every
   parameter, in store order, for one loss: the composition of
   `incepformer gradcheck` (micro f64, 32x32, batch 2, BatchNorm frozen),
@@ -33,9 +31,9 @@ To compare two source trees, run it against each and compare the outputs:
     PYTHONPATH=new/src python3 tools/fingerprint.py > new.txt
     cmp old.txt new.txt
 
-It takes about 3.6 s and 0.95 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
+It takes about 3.4 s and 0.95 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
 EPYC, numpy 2.4.6 with OpenBLAS 0.3.31); the ipt-t 512x512 tape line sets
-the peak (without the two tape lines: 2.2 s and 0.51 GiB).
+the peak (without the two tape lines: 2.0 s and 0.51 GiB).
 """
 
 from __future__ import annotations
@@ -62,15 +60,10 @@ ODD_REDUCTION = dataclasses.replace(
 RUNS = (
     ("micro-f32", micro(), "f32", 6),
     ("micro-f64", micro(), "f64", 3),
-    ("micro-overlap-f32", dataclasses.replace(micro(), patch_mode="overlap"), "f32", 4),
-    ("micro-bypass-f32", dataclasses.replace(micro(), bypass_reduce_r1=True), "f32", 3),
     ("micro-r3331-f32", ODD_REDUCTION, "f32", 3),
     ("ipt-t-f32", ipt_t(), "f32", 2),
 )
-KNOBS = ({}, {"patch_mode": "overlap"}, {"bypass_reduce_r1": True},
-         {"patch_mode": "overlap", "bypass_reduce_r1": True})
-ANALYZE_CONFIGS = [dataclasses.replace(mk(), **knobs) for mk in PRESETS.values() for knobs in KNOBS]
-ANALYZE_CONFIGS.append(ODD_REDUCTION)
+ANALYZE_CONFIGS = [mk() for mk in PRESETS.values()] + [ODD_REDUCTION]
 ANALYZE_SIZES = ((32, 32), (64, 96), (512, 512), (1024, 2048))
 
 
