@@ -20,19 +20,15 @@ from .tensor import Tensor, resolve_dtype
 
 class PatchEmbed(Module):
     """Non-overlapping k x k, stride-k projection between stages (k = 4 into
-    stage 1, 2 afterwards), then a BatchNorm."""
+    stage 1, 2 afterwards), then a BatchNorm.  An input whose extent is not
+    a multiple of k raises ShapeError from the conv."""
 
     def __init__(self, stage_index: int, cin: int, cout: int, init: InitCtx):
         s = 4 if stage_index == 1 else 2
-        self.stride_factor = s
         self.proj = Conv2d(cin, cout, s, stride=s, init=init)
         self.norm = BatchNorm2d(cout, init)
 
     def forward(self, x: Tensor) -> Tensor:
-        h, w = x.shape[2], x.shape[3]
-        s = self.stride_factor
-        if h % s or w % s:
-            raise ShapeError(f"patch embed needs dims divisible by {s}, got {h}x{w}")
         return self.norm(self.proj(x))
 
     __call__ = forward

@@ -134,9 +134,9 @@ class Conv2d(Module):
     def __init__(self, cin: int, cout: int, kernel, stride=(1, 1), padding=(0, 0),
                  groups: int = 1, *, init: InitCtx):
         kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
-        T.check_conv_groups(cin, cout, groups)
         self.stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
         self.padding = (padding, padding) if isinstance(padding, int) else tuple(padding)
+        T.check_conv(cin, cout, groups, (kh, kw), self.stride, self.padding)
         self.groups = groups
         self.weight = init.conv_weight(cout, cin // groups, kh, kw)
         self.bias = init.zeros(cout)

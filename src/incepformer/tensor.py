@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
 
@@ -565,15 +564,22 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 # convolution / pooling
 # ---------------------------------------------------------------------------
 
-def _conv_out_size(n: int, k: int, s: int, p: int) -> int:
-    return (n + 2 * p - k) // s + 1
-
-
-def check_conv_groups(cin: int, cout: int, groups: int):
-    """The two channel groupings the model runs: dense (groups == 1) and
-    depthwise (groups == Cin == Cout)."""
-    if groups != 1 and not groups == cin == cout:
+def check_conv(cin: int, cout: int, groups: int, kernel: tuple, stride: tuple, padding: tuple):
+    """The two convolutions the model runs: depthwise (groups == Cin ==
+    Cout) at any stride and padding, and dense (groups == 1) over
+    non-overlapping tiles: stride equal to the kernel and no padding, so a
+    1x1 conv is the k = 1 case.  Anything else is a ConfigError."""
+    if min(stride) < 1:
+        raise ConfigError(f"conv2d stride must be >= 1, got {stride}")
+    if min(padding) < 0:
+        raise ConfigError(f"conv2d padding must be >= 0, got {padding}")
+    if groups == cin == cout:
+        return
+    if groups != 1:
         raise ConfigError(f"groups={groups} must be 1 or equal Cin={cin} and Cout={cout}")
+    if stride != kernel or any(padding):
+        raise ConfigError(f"a dense conv2d tiles its input: stride must equal the kernel {kernel} "
+                          f"with no padding, got stride {stride} and padding {padding}")
 
 
 def conv2d(
@@ -584,17 +590,18 @@ def conv2d(
     padding: tuple = (0, 0),
     groups: int = 1,
 ) -> Tensor:
-    """2-D cross-correlation with zero padding, dense or depthwise.
+    """2-D cross-correlation, depthwise or dense over tiles.
 
-    x: [N, Cin, H, W]; w: [Cout, Cin/groups, Kh, Kw]; b: [Cout].  `groups`
-    is 1 (dense) or Cin == Cout (depthwise); anything else is a ConfigError.
-    Output spatial size: floor((H + 2p - K)/s) + 1 per axis.
-
-    The input shape picks one of three paths: an unpadded, unstrided 1x1
-    dense conv is a channel matmul; depthwise sums the Kh*Kw shifted input
-    slices directly, one cache-sized block of channels at a time (bitwise
-    the same as unblocked); the other dense convs (the patch embeds) run
-    im2col as one matrix product.
+    x: [N, Cin, H, W]; w: [Cout, Cin/groups, Kh, Kw]; b: [Cout].  Two paths:
+    * depthwise (groups == Cin == Cout), any stride and zero padding, output
+      floor((H + 2p - K)/s) + 1 per axis: sums the Kh*Kw shifted input
+      slices, one cache-sized block of channels at a time;
+    * dense (groups == 1), stride equal to the kernel and no padding, output
+      H/Kh x W/Kw: the weight times the input's tiles (`_conv2d_patch`).  A
+      1x1 conv is the k = 1 case.
+    Any other grouping or dense geometry raises ConfigError (`check_conv`),
+    and a dense input whose H or W is not a multiple of the kernel
+    ShapeError.
     """
     _binary_check(x, w, "conv2d")
     if x.ndim != 4 or w.ndim != 4:
@@ -603,11 +610,7 @@ def conv2d(
     cout, cin_g, kh, kw = w.shape
     sh, sw = (int(s) for s in stride)
     ph, pw = (int(p) for p in padding)
-    if sh < 1 or sw < 1:
-        raise ConfigError(f"conv2d stride must be >= 1, got {stride}")
-    if ph < 0 or pw < 0:
-        raise ConfigError(f"conv2d padding must be >= 0, got {padding}")
-    check_conv_groups(cin, cout, groups)
+    check_conv(cin, cout, groups, (kh, kw), (sh, sw), (ph, pw))
     if cin_g != cin // groups:
         raise ShapeError(f"weight channel dim {cin_g} != Cin/groups = {cin // groups}")
     if kh > h + 2 * ph:
@@ -617,30 +620,16 @@ def conv2d(
     if b.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {b.shape} != ({cout},)")
 
-    ho = _conv_out_size(h, kh, sh, ph)
-    wo = _conv_out_size(wdt, kw, sw, pw)
-
-    if kh == 1 and kw == 1 and groups == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0):
-        # Pointwise fast path: a plain channel matmul.
-        w2 = w.data.reshape(cout, cin)
-        out = np.matmul(w2, x.data.reshape(n, cin, h * wdt)).reshape(n, cout, h, wdt)
-        out += b.data[None, :, None, None]
-
-        def bwd(g):
-            g2 = g.reshape(n, cout, h * wdt)
-            gx = np.matmul(w2.T, g2).reshape(n, cin, h, wdt)
-            gw = np.matmul(g2, x.data.reshape(n, cin, h * wdt).transpose(0, 2, 1)).sum(axis=0)
-            return gx, gw.reshape(cout, cin, 1, 1), g.sum(axis=(0, 2, 3))
-
-    elif groups == cin == cout:
-        out, bwd = _conv2d_depthwise(x.data, w.data, b.data, (sh, sw), (ph, pw), (ho, wo))
+    if groups == cin == cout:
+        out, bwd = _conv2d_depthwise(x.data, w.data, b.data, (sh, sw), (ph, pw))
+    elif h % kh or wdt % kw:
+        raise ShapeError(f"dense conv2d needs input dims divisible by its {kh}x{kw} kernel, got {h}x{wdt}")
     else:
-        out, bwd = _conv2d_im2col(x.data, w.data, b.data, (sh, sw), (ph, pw), (ho, wo))
-
+        out, bwd = _conv2d_patch(x.data, w.data, b.data)
     return record_op(out, (x, w, b), bwd, "conv2d")
 
 
-def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
+def _conv2d_depthwise(x, w, b, stride, padding):
     """groups == Cin == Cout: the sum of Kh*Kw shifted, strided slices of
     the padded input, each scaled by its per-channel tap.
 
@@ -662,7 +651,8 @@ def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
     """
     n, c, h, wdt = x.shape
     kh, kw = w.shape[2:]
-    (sh, sw), (ph, pw), (ho, wo) = stride, padding, out_hw
+    (sh, sw), (ph, pw) = stride, padding
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wdt + 2 * pw - kw) // sw + 1
     wide = (sh, sw) == (1, 1)
     cols = wdt + 2 * pw if wide else wo
     if ph or pw or wide:
@@ -716,29 +706,25 @@ def _conv2d_depthwise(x, w, b, stride, padding, out_hw):
     return out, bwd
 
 
-def _conv2d_im2col(x, w, b, stride, padding, out_hw):
-    """Dense convolution as one matrix product of [N*Ho*Wo, Cin*Kh*Kw]
-    patch rows with the [Cin*Kh*Kw, Cout] weight."""
+def _conv2d_patch(x, w, b):
+    """Dense conv over non-overlapping Kh x Kw tiles: per sample, the
+    [Cout, Cin*Kh*Kw] weight times the [Cin*Kh*Kw, Ho*Wo] tile columns (a
+    view of x when k = 1).  Backward folds `w2.T @ g` back into tiles by
+    reshape and transpose, and sums the per-sample weight gradients."""
     n, cin, h, wdt = x.shape
     cout, _, kh, kw = w.shape
-    (sh, sw), (ph, pw), (ho, wo) = stride, padding, out_hw
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    pat = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]  # [N, Cin, Ho, Wo, kh, kw]
-    pat2 = np.ascontiguousarray(pat.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * kh * kw)
+    ho, wo = h // kh, wdt // kw
+    cols = x.reshape(n, cin, ho, kh, wo, kw).transpose(0, 1, 3, 5, 2, 4).reshape(n, cin * kh * kw, ho * wo)
     w2 = w.reshape(cout, cin * kh * kw)
-    out = np.ascontiguousarray((pat2 @ w2.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+    out = np.matmul(w2, cols).reshape(n, cout, ho, wo)
     out += b[None, :, None, None]
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-        gw = (pat2.T @ g2).T.reshape(cout, cin, kh, kw)
-        gpat = (g2 @ w2).reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, u : u + sh * ho : sh, v : v + sw * wo : sw] += gpat[:, :, :, :, u, v]
-        gx = gxp[:, :, ph : ph + h, pw : pw + wdt] if (ph or pw) else gxp
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        g2 = g.reshape(n, cout, ho * wo)
+        gcols = np.matmul(w2.T, g2).reshape(n, cin, kh, kw, ho, wo)
+        gx = gcols.transpose(0, 1, 4, 2, 5, 3).reshape(n, cin, h, wdt)
+        gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
     return out, bwd
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import apply_tensors, load_checkpoint, save_checkpoint
-from .config import ModelConfig, check_input_size
+from .config import MAX_INPUT_SIDE, ModelConfig, check_input_size
 from .data import SegSample, augment
 from .errors import ConfigError, ContractError, NumericsError
 from .model import IncepFormer, build_model
@@ -51,6 +51,9 @@ class TrainConfig:
         check_input_size(*self.crop, "crop")
         if self.max_iters < 1 or self.batch_size < 1:
             raise ConfigError("max_iters and batch_size must be >= 1")
+        if self.batch_size * self.crop[0] * self.crop[1] > MAX_INPUT_SIDE ** 2:
+            raise ConfigError(f"batch_size {self.batch_size} of {self.crop[0]}x{self.crop[1]} crops exceeds "
+                              f"{MAX_INPUT_SIDE}x{MAX_INPUT_SIDE} pixels per batch")
         # Every comparison with NaN is False, and `x < math.inf` rejects inf.
         if not 0 < self.base_lr < math.inf:
             raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")

@@ -33,13 +33,14 @@ class TestConv2d:
         assert out.data[0, 0, 0, 0] == 10.5
 
     # ksp = (kernel, stride, padding, groups).  Dense convs have 2 output
-    # channels; depthwise ones (groups == C) use the model's geometries with
+    # channels and tile their input (k = s in {1, 2, 4} and a 2x3 tile);
+    # depthwise ones (groups == C) use the model's geometries with
     # reduction R = 4: the 1xR and Rx1 strips, the strided 3x3 and the 3x3.
     @pytest.mark.parametrize("shape,ksp", [
-        ((1, 1, 3, 3), ((2, 2), (1, 1), (0, 0), 1)),
-        ((2, 3, 5, 5), ((3, 3), (1, 1), (0, 0), 1)),
-        ((2, 3, 5, 5), ((3, 3), (2, 2), (1, 1), 1)),
-        ((1, 2, 4, 5), ((2, 3), (2, 1), (0, 1), 1)),
+        ((2, 3, 5, 5), ((1, 1), (1, 1), (0, 0), 1)),
+        ((1, 1, 4, 6), ((2, 2), (2, 2), (0, 0), 1)),
+        ((2, 3, 8, 8), ((4, 4), (4, 4), (0, 0), 1)),
+        ((1, 2, 4, 9), ((2, 3), (2, 3), (0, 0), 1)),
         ((2, 3, 8, 8), ((1, 4), (1, 4), (0, 0), 3)),
         ((2, 3, 8, 8), ((4, 1), (4, 1), (0, 0), 3)),
         ((2, 3, 8, 8), ((3, 3), (4, 4), (1, 1), 3)),
@@ -60,11 +61,11 @@ class TestConv2d:
 
     def test_matches_loop_oracle_float(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((2, 3, 5, 5))
-        w = rng.standard_normal((4, 3, 3, 3))
+        x = rng.standard_normal((2, 3, 8, 6))
+        w = rng.standard_normal((4, 3, 2, 2))
         b = rng.standard_normal(4)
-        got = T.conv2d(t64(x), t64(w), t64(b), stride=(1, 1), padding=(1, 1))
-        want = conv2d_loops(x, w, b, (1, 1), (1, 1), 1)
+        got = T.conv2d(t64(x), t64(w), t64(b), stride=(2, 2))
+        want = conv2d_loops(x, w, b, (2, 2), (0, 0), 1)
         np.testing.assert_allclose(got.data, want, rtol=1e-13, atol=1e-13)
 
     def test_depthwise_equals_per_channel_loop(self):
@@ -94,6 +95,45 @@ class TestConv2d:
                 T.conv2d(x, w, t64(np.zeros(cout)), groups=groups)
             with pytest.raises(ConfigError):
                 Conv2d(cin, cout, 1, groups=groups, init=make_init())
+
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        ((2, 2), (1, 1), (0, 0)),  # overlapping tiles
+        ((2, 2), (2, 2), (1, 1)),  # padded tiles
+        ((1, 1), (1, 1), (1, 1)),  # padded 1x1
+        ((3, 3), (3, 1), (0, 0)),
+    ])
+    def test_dense_must_tile(self, kernel, stride, padding):
+        x = t64(np.zeros((1, 2, 6, 6)))
+        w = t64(np.zeros((3, 2) + kernel))
+        with pytest.raises(ConfigError, match="tiles"):
+            T.conv2d(x, w, t64(np.zeros(3)), stride=stride, padding=padding)
+        with pytest.raises(ConfigError, match="tiles"):
+            Conv2d(2, 3, kernel, stride=stride, padding=padding, init=make_init())
+
+    def test_dense_indivisible_input(self):
+        x = t64(np.zeros((1, 2, 6, 5)))
+        w = t64(np.zeros((3, 2, 2, 2)))
+        with pytest.raises(ShapeError, match="divisible"):
+            T.conv2d(x, w, t64(np.zeros(3)), stride=(2, 2))
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_1x1_equals_direct_matmul_bitwise(self, dtype):
+        rng = np.random.default_rng(12)
+        n, cin, cout, h, wd = 2, 5, 3, 4, 6
+        x = T.parameter(rng.standard_normal((n, cin, h, wd)), dtype=dtype)
+        w = T.parameter(rng.standard_normal((cout, cin, 1, 1)), dtype=dtype)
+        b = T.parameter(rng.standard_normal(cout), dtype=dtype)
+        g = Tensor(rng.standard_normal((n, cout, h, wd)), dtype=dtype)
+        with T.GradTape() as tape:
+            out = T.conv2d(x, w, b)
+            loss = T.tsum(T.mul(out, g))
+        T.backward(loss, tape)
+        x3, w2, g3 = x.data.reshape(n, cin, h * wd), w.data.reshape(cout, cin), g.data.reshape(n, cout, h * wd)
+        want = np.matmul(w2, x3).reshape(n, cout, h, wd) + b.data[None, :, None, None]
+        assert out.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == np.matmul(w2.T, g3).tobytes()
+        assert w.grad.tobytes() == np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).tobytes()
+        assert b.grad.tobytes() == g.data.sum(axis=(0, 2, 3)).tobytes()
 
     def test_kernel_too_large(self):
         x = t64(np.zeros((1, 1, 3, 3)))
@@ -600,8 +640,8 @@ class TestEngineContracts:
     def test_determinism_same_inputs(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 8, 8))
-        w = rng.standard_normal((4, 3, 3, 3))
+        w = rng.standard_normal((4, 3, 2, 2))
         b = rng.standard_normal(4)
-        one = T.conv2d(t64(x), t64(w), t64(b), padding=(1, 1)).data
-        two = T.conv2d(t64(x), t64(w), t64(b), padding=(1, 1)).data
+        one = T.conv2d(t64(x), t64(w), t64(b), stride=(2, 2)).data
+        two = T.conv2d(t64(x), t64(w), t64(b), stride=(2, 2)).data
         np.testing.assert_array_equal(one, two)

@@ -586,6 +586,17 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match=field):
             tcfg(**{field: value}).validate()
 
+    def test_batch_pixels_bounded(self):
+        from incepformer.config import MAX_INPUT_SIDE
+        from incepformer.errors import ConfigError
+
+        side = MAX_INPUT_SIDE // 4
+        tcfg(batch_size=16, crop=(side, side)).validate()
+        with pytest.raises(ConfigError, match="batch_size"):
+            tcfg(batch_size=17, crop=(side, side)).validate()
+        with pytest.raises(ConfigError, match="batch_size"):
+            tcfg(batch_size=10**9).validate()
+
     def test_f32_step_leaves_f32_grads(self):
         ds = make_synth_dataset(2, 64, 64, 2, seed=9)
         res = train(micro(num_classes=2), tcfg(max_iters=1), ds)
