@@ -40,7 +40,10 @@ def atomic_write(path: str):
     An existing `path` that is not itself a regular file is written in
     place: a symlink (such as /dev/stdout) is written through to its target
     and stays a link, and a device or FIFO receives the bytes instead of
-    being renamed over."""
+    being renamed over.
+
+    An OSError raised while writing or renaming names `path`, not the
+    temporary file."""
     if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
         with open(path, "wb") as fh:
             yield fh
@@ -52,9 +55,11 @@ def atomic_write(path: str):
         if os.path.exists(path):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, path) from None
         raise
 
 

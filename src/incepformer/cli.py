@@ -9,7 +9,9 @@ or a size that breaks the input-size rule).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -131,6 +133,9 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_model_config(args.model)
     ch, cw = _parse_size(args.crop, "--crop")
+    for path in (args.checkpoint, args.out):  # written only after the last iteration
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     tcfg = TrainConfig(base_lr=args.lr, max_iters=args.iters, batch_size=args.batch,
                        crop=(ch, cw), seed=args.seed)
     dataset = make_synth_dataset(16, ch, cw, cfg.num_classes, args.seed)

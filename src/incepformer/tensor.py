@@ -198,6 +198,19 @@ def active_tape() -> Optional[GradTape]:
 
 
 def _check_finite(data: np.ndarray, op: str):
+    """Raise NumericsError naming `op` if contiguous `data` holds NaN or +-inf.
+
+    One BLAS dot of the values with themselves decides the common case
+    without a bool temporary: the squares are never negative, so a NaN or
+    an inf anywhere makes the dot NaN or inf (no inf - inf can arise), and
+    a finite dot proves every value finite.  Only a non-finite dot, from a
+    bad value or from finite values whose squares overflow (above about
+    1e19 in f32), falls back to the exact `np.isfinite` test, so what
+    raises is that test alone."""
+    flat = data.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(np.dot(flat, flat)):
+            return
     if not np.isfinite(data).all():
         raise NumericsError(f"{op} produced non-finite values")
 
@@ -543,13 +556,17 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     is tiny * Lk and its row's sum is under Lk, so no output lies in
     (0, tiny).  Each entry moves by less than about Lk * tiny (9e-36 in f32
     at Lk = 768); rows whose shifted scores all stay above the floor are
-    bitwise the textbook expression.
+    bitwise the textbook expression.  The clamp pass runs only when some
+    shifted score lies below the floor: elsewhere it would change nothing,
+    so skipping it leaves the output bitwise the same.
     """
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for rank {x.ndim}")
     y = x.data - x.data.max(axis=axis, keepdims=True)
     tiny = np.finfo(y.dtype).tiny
-    np.maximum(y, y.dtype.type(math.log(tiny) + math.log(y.shape[axis])), out=y)
+    floor = y.dtype.type(math.log(tiny) + math.log(y.shape[axis]))
+    if y.min() < floor:
+        np.maximum(y, floor, out=y)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
@@ -729,9 +746,43 @@ def _conv2d_patch(x, w, b):
     return out, bwd
 
 
+def _pairwise_sum(terms: list) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays in the order of numpy's
+    pairwise summation of one contiguous run of len(terms) values:
+    sequential below 8 terms, eight running sums combined as a tree up to
+    128, and halves (at a multiple of 8) above that."""
+    n = len(terms)
+    if n < 8:
+        s = terms[0].copy()
+        for t in terms[1:]:
+            s += t
+        return s
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r = [t.copy() for t in terms[:8]]
+    for i in range(8, n - n % 8, 8):
+        for j in range(8):
+            r[j] += terms[i + j]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[n - n % 8:]:
+        s += t
+    return s
+
+
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Mean over the non-overlapping k x k windows of a [N, C, H, W] input
-    whose H and W are multiples of k: out = [N, C, H/k, W/k]."""
+    whose H and W are multiples of k: out = [N, C, H/k, W/k].
+
+    The k * k window taps are summed as whole-array adds over strided views
+    of x, in the order of `x.reshape(N, C, H/k, k, W/k, k).mean(axis=(3, 5))`,
+    so the values are bitwise that expression's, at a fraction of the cost
+    of numpy's multi-axis reduction: starting from 0, each window row adds
+    the pairwise sum (`_pairwise_sum`) of its k columns, the rows in
+    sequence; then the sum is divided by k * k.  Where the output is one
+    column wide, a window's k * k values are contiguous and numpy sums them
+    as one pairwise run, so here a one-axis sum over that run does the
+    same."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-D input, got {x.shape}")
     k = int(kernel)
@@ -741,7 +792,14 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d input {h}x{w} is not a multiple of kernel {k}")
     ho, wo = h // k, w // k
-    out = x.data.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
+    if wo == 1:
+        out = x.data.reshape(n, c, ho, wo, k * k).sum(axis=4)
+    else:
+        v = x.data.reshape(n, c, ho, k, wo, k)
+        out = np.zeros((n, c, ho, wo), x.dtype)
+        for u in range(k):
+            out += _pairwise_sum([v[:, :, :, u, :, j] for j in range(k)])
+    out /= k * k
 
     def bwd(g):
         gs = (g / (k * k))[:, :, :, None, :, None]

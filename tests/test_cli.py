@@ -154,6 +154,21 @@ class TestTrainEvalCommands:
         assert ckpt.exists()
         assert log.read_text().startswith("iter,lr,loss\n")
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
+    def test_missing_destination_directory_fails_before_training(self, flag, tmp_path, capsys):
+        dest = tmp_path / "missing" / "c.ckpt"
+        assert run_cli(["train", "--iters", "2", flag, str(dest)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # no iteration ran
+        assert err == f"error: [Errno 2] No such file or directory: {str(dest)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_error_names_the_given_path(self, tmp_path):
+        dest = tmp_path / "missing" / "c.ckpt"
+        with pytest.raises(FileNotFoundError) as info:
+            save_checkpoint(str(dest), {"w": np.zeros(2, dtype=np.float32)}, 0)
+        assert info.value.filename == str(dest) and ".tmp" not in str(info.value)
+
     def test_eval_reports_miou(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         run_cli(["train", "--model", "micro", "--iters", "2", "--crop", "64x64",

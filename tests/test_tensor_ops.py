@@ -207,6 +207,20 @@ class TestAvgPool:
         got = T.avg_pool2d(t64(x), r)
         assert got.data.tobytes() == avg_pool_loops(x, r).tobytes()
 
+    # Non-integer values, so the summation order shows in the rounding: k
+    # covers the model's ratios, an odd one, and pairwise runs of 8 and more
+    # terms, past 128 where numpy splits a run in halves; a one-column
+    # output is where numpy sums a window as one run.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 9, 16, 136])
+    @pytest.mark.parametrize("wo", [1, 3])
+    def test_bitwise_equals_numpy_mean(self, dtype, k, wo):
+        rng = np.random.default_rng(100 * k + wo)
+        x = (rng.standard_normal((2, 3, 2 * k, wo * k)) * 10.0 ** rng.uniform(-3, 3, (2, 3, 2 * k, wo * k))).astype(dtype)
+        want = x.reshape(2, 3, 2, k, wo, k).mean(axis=(3, 5))
+        got = T.avg_pool2d(Tensor(x), k).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     def test_input_not_a_multiple_of_kernel(self):
         with pytest.raises(ShapeError):
             T.avg_pool2d(t64(np.zeros((1, 1, 6, 8))), 4)
@@ -357,6 +371,21 @@ class TestSoftmax:
         x = (np.random.default_rng(6).standard_normal((3, 4, 50)) * 8).astype(dtype)
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         assert T.softmax(Tensor(x), axis=-1).data.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+    # Blocks of scores with none below the clamp floor (the clamp pass is
+    # skipped) and with some (it runs): both are bitwise the always-clamped
+    # expression.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spread,below", [(8.0, False), (1e3, True)])
+    def test_bitwise_equals_always_clamped(self, dtype, spread, below):
+        x = (np.random.default_rng(7).standard_normal((4, 16, 96)) * spread).astype(dtype)
+        y = x - x.max(axis=-1, keepdims=True)
+        floor = dtype(np.log(float(np.finfo(dtype).tiny)) + np.log(x.shape[-1]))
+        assert (y < floor).any() == below
+        np.maximum(y, floor, out=y)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        assert T.softmax(Tensor(x), axis=-1).data.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_floor_makes_no_subnormals_and_moves_entries_by_under_lk_tiny(self, dtype):
@@ -578,23 +607,35 @@ class TestBlockRanges:
         assert T.block_ranges(3, 101) == [(0, 1), (1, 2), (2, 3)]
 
 
+@pytest.mark.filterwarnings("error")
 class TestAllFinite:
     """_check_finite raises NumericsError naming the op exactly when a value
-    is NaN or infinite."""
+    is NaN or infinite, and warns of nothing: its overflowing dot is
+    guarded."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf, 3e38, -3e38])
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf, 3e38, -3e38, 1e20])
     @pytest.mark.parametrize("shape,at", [((), ()), ((7,), (6,)), ((3, 4, 5), (2, 0, 3)),
                                           ((200_000,), (199_999,)), ((200_000,), (70_000,))])
     def test_planted_values(self, dtype, planted, shape, at):
         a = np.random.default_rng(5).standard_normal(shape).astype(dtype)
         a.flat[0] = planted  # two copies: a sum of two 3e38 would overflow float32
         a[at] = planted
-        if abs(planted) == 3e38:
+        if np.isfinite(planted):  # in f32 the squares overflow the check's dot
             T._check_finite(a, "probe")
         else:
             with pytest.raises(NumericsError, match="probe produced non-finite"):
                 T._check_finite(a, "probe")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [1, 9, 4097, 300_001])
+    @pytest.mark.parametrize("where", ["first", "mid", "last"])
+    def test_one_bad_value_anywhere_raises_naming_the_op(self, dtype, planted, size, where):
+        a = np.random.default_rng(size).standard_normal(size).astype(dtype)
+        a[{"first": 0, "mid": size // 2, "last": -1}[where]] = planted
+        with pytest.raises(NumericsError, match="^scale produced non-finite values$"):
+            T.scale(Tensor(a), 1.0)
 
     def test_size_zero_passes(self):
         T._check_finite(np.zeros((0, 3), dtype=np.float32), "probe")
