@@ -26,7 +26,7 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 
-from .config import INPUT_MULTIPLE, ModelConfig, check_input_size
+from .config import INPUT_MULTIPLE, PATCH_STRIDES, ModelConfig, check_input_size
 from .errors import ConfigError, ContractError
 
 CAT_PARAMS = "params"
@@ -116,16 +116,15 @@ class _Walk:
         cin = 3
         sh, sw = h, w
         stage_hw = []
-        for i, sc in enumerate(cfg.stages, start=1):
+        for i, (sc, k) in enumerate(zip(cfg.stages, PATCH_STRIDES), start=1):
             c, r = sc.channels, sc.reduction
-            k = 4 if i == 1 else 2
             sh, sw = sh // k, sw // k
             stage_hw.append((sh, sw))
             pre = f"stage{i}"
             length = sh * sw
             self.conv(f"{pre}/patch/proj", cin, c, k, k, 1, sh, sw)
             self.norm(f"{pre}/patch/norm", c, "bn", length * c)
-            ch, cw = -(-sh // r), -(-sw // r)
+            ch, cw = sh // r, sw // r
             l_kv = 3 * ch * cw
             hidden = c * sc.ffn_ratio
             dk = c // sc.heads

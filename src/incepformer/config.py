@@ -8,14 +8,17 @@ gradient checking).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Sequence, get_origin, get_type_hints
 
 from .errors import ConfigError
 
-# IncepFormer's four patch embeddings stride 4, 2, 2 and 2, so every input
-# side must be a positive multiple of their product.
-INPUT_MULTIPLE = 32
+# The strides of IncepFormer's four patch embeddings.  Every input side must
+# be a positive multiple of their product, so stage i's map sides are
+# multiples of INPUT_MULTIPLE over the product of the first i strides.
+PATCH_STRIDES = (4, 2, 2, 2)
+INPUT_MULTIPLE = math.prod(PATCH_STRIDES)
 # The most classes a config may declare: far above ADE20K's 150, and small
 # enough that the per-class palette and score planes stay cheap.
 MAX_NUM_CLASSES = 1 << 16
@@ -75,8 +78,13 @@ class ModelConfig:
     def validate(self):
         if len(self.stages) != 4:
             raise ConfigError(f"stages must have exactly 4 entries, got {len(self.stages)}")
-        for i, s in enumerate(self.stages, start=1):
+        side = INPUT_MULTIPLE
+        for i, (s, stride) in enumerate(zip(self.stages, PATCH_STRIDES), start=1):
             s.validate(f"stages[{i}]")
+            side //= stride
+            if side % s.reduction:
+                raise ConfigError(f"stages[{i}].reduction must divide {side}, which every "
+                                  f"stage-{i} map side is a multiple of, got {s.reduction}")
         if self.decoder_channels < 1:
             raise ConfigError(f"decoder_channels must be positive, got {self.decoder_channels}")
         if not 2 <= self.num_classes <= MAX_NUM_CLASSES:

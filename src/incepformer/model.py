@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .config import INPUT_MULTIPLE, ModelConfig
+from .config import INPUT_MULTIPLE, PATCH_STRIDES, ModelConfig
 from .errors import ConfigError, ShapeError
 from .modules import BatchNorm2d, Conv2d, InitCtx, LayerNorm, Module
 from .tensor import Tensor, resolve_dtype
@@ -24,7 +24,7 @@ class PatchEmbed(Module):
     a multiple of k raises ShapeError from the conv."""
 
     def __init__(self, stage_index: int, cin: int, cout: int, init: InitCtx):
-        s = 4 if stage_index == 1 else 2
+        s = PATCH_STRIDES[stage_index - 1]
         self.proj = Conv2d(cin, cout, s, stride=s, init=init)
         self.norm = BatchNorm2d(cout, init)
 
@@ -41,14 +41,10 @@ class IncepReduce(Module):
     branch 2: 3x3 depthwise with stride R; branch 3: RxR average pooling
     followed by a 3x3 depthwise.  The branch maps are stacked along H and
     flattened, which gives branch 1's tokens, then branch 2's, then branch
-    3's, each in row-major order; the sequence is LayerNormed.  Inputs whose
-    extent is not a multiple of R are zero-padded on the bottom/right so
-    every branch yields ceil(H/R) x ceil(W/R) positions.
+    3's, each in row-major order; the sequence is LayerNormed.
     """
 
     def __init__(self, channels: int, reduction: int, init: InitCtx):
-        if reduction < 1:
-            raise ConfigError(f"reduction must be >= 1, got {reduction}")
         self.reduction = r = reduction
         self.dw_1xr = Conv2d(channels, channels, (1, r), stride=(1, r), groups=channels, init=init)
         self.dw_rx1 = Conv2d(channels, channels, (r, 1), stride=(r, 1), groups=channels, init=init)
@@ -57,17 +53,9 @@ class IncepReduce(Module):
         self.ln = LayerNorm(channels, init)
 
     def forward(self, x: Tensor) -> Tensor:
-        _, _, h, w = x.shape
-        r = self.reduction
-        if h < r or w < r:
-            raise ShapeError(f"input {h}x{w} smaller than reduction ratio {r}")
-        ch, cw = -(-h // r), -(-w // r)
-        xpad = x
-        if ch * r != h or cw * r != w:
-            xpad = T.pad2d(x, (0, ch * r - h, 0, cw * r - w))
-        b1 = self.dw_rx1(self.dw_1xr(xpad))
+        b1 = self.dw_rx1(self.dw_1xr(x))
         b2 = self.dw_3x3_b2(x)
-        b3 = self.dw_3x3_b3(T.avg_pool2d(xpad, r))
+        b3 = self.dw_3x3_b3(T.avg_pool2d(x, self.reduction))
         return self.ln(T.img2seq(T.concat([b1, b2, b3], axis=2)))
 
     __call__ = forward

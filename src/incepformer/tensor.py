@@ -197,21 +197,23 @@ def active_tape() -> Optional[GradTape]:
     return _ACTIVE_TAPE
 
 
+def _dot_finite(data: np.ndarray) -> bool:
+    """True if one BLAS dot of contiguous `data` with itself is finite,
+    which proves every value finite, without a bool temporary: the squares
+    are never negative, so a NaN or an inf anywhere makes the dot NaN or
+    inf (no inf - inf can arise).  False also for finite values whose
+    squares overflow (above about 1e19 in f32)."""
+    flat = data.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.isfinite(np.dot(flat, flat))
+
+
 def _check_finite(data: np.ndarray, op: str):
     """Raise NumericsError naming `op` if contiguous `data` holds NaN or +-inf.
 
-    One BLAS dot of the values with themselves decides the common case
-    without a bool temporary: the squares are never negative, so a NaN or
-    an inf anywhere makes the dot NaN or inf (no inf - inf can arise), and
-    a finite dot proves every value finite.  Only a non-finite dot, from a
-    bad value or from finite values whose squares overflow (above about
-    1e19 in f32), falls back to the exact `np.isfinite` test, so what
-    raises is that test alone."""
-    flat = data.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if math.isfinite(np.dot(flat, flat)):
-            return
-    if not np.isfinite(data).all():
+    `_dot_finite` decides the common case; only where it fails does the
+    exact `np.isfinite` test run, so what raises is that test alone."""
+    if not _dot_finite(data) and not np.isfinite(data).all():
         raise NumericsError(f"{op} produced non-finite values")
 
 
@@ -392,17 +394,28 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """GELU under the tanh approximation (closed-form derivative).  The
-    backward recomputes the tanh, bitwise, instead of keeping it."""
+    backward recomputes the tanh, bitwise, instead of keeping it.
+
+    Every finite input gives a finite value and gradient.  Once the tanh
+    is +-1 (its argument may overflow to +-inf on the way) the value is x
+    or 0 and the gradient 1 or 0: the derivative's second term is +-0
+    there, or 0 * inf = NaN where d * d overflows, in which case the
+    backward drops it; so no finite gradient changes."""
     d = x.data
 
     def tanh_term():
-        return np.tanh(GELU_COEF * (d + GELU_CUBIC * d * d * d))
+        with np.errstate(over="ignore"):
+            return np.tanh(GELU_COEF * (d + GELU_CUBIC * d * d * d))
 
     out = 0.5 * d * (1.0 + tanh_term())
 
     def bwd(g):
         t = tanh_term()
-        local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * d * d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * d * d))
+        if not _dot_finite(local):
+            saturated = t * t == 1
+            local[saturated] = 0.5 * (1.0 + t[saturated])
         return (g * local,)
 
     return record_op(out, (x,), bwd, "gelu")
@@ -490,7 +503,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def pad2d(x: Tensor, pads: tuple) -> Tensor:
-    """Zero-pad the two trailing spatial axes; pads = (top, bottom, left, right)."""
+    """Zero-pad the two trailing spatial axes; pads = (top, bottom, left, right).
+    No layer of the model calls it."""
     top, bottom, left, right = (int(p) for p in pads)
     if min(top, bottom, left, right) < 0:
         raise ConfigError(f"negative padding {pads}")

@@ -392,6 +392,26 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         assert run_cli(["analyze", "--model", str(bad)]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ANALYZE,
+        TRAIN,
+        ["eval", "--model", "{path}", "--crop", "64x64"],
+        ["infer", "{image}", "--model", "{path}", "--out", "{out}"],
+    ], ids=["analyze", "train", "eval", "infer"])
+    def test_reduction_not_dividing_its_stage_map(self, argv, tmp_path, capsys):
+        # Stage 1's map sides are multiples of 8, which 3 does not divide.
+        doc = dict(TINY_CONFIG, stages=[dict(s, reduction=r)
+                                        for s, r in zip(TINY_CONFIG["stages"], (3, 3, 3, 1))])
+        path = tmp_path / "r3331.json"
+        path.write_text(json.dumps(doc))
+        image = tmp_path / "image.pgm"
+        write_pgm(str(image), np.zeros((32, 32), dtype=np.uint8))
+        out = tmp_path / "mask.pgm"
+        assert run_cli([a.format(path=path, image=image, out=out) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "stages[1].reduction must divide 8" in err
+        assert not out.exists()
+
     def test_missing_config_file(self):
         assert run_cli(["analyze", "--model", "/nonexistent/cfg.json"]) == 3
 

@@ -512,6 +512,23 @@ class TestUnaryMaps:
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.841192, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype,values", [
+        (np.float32, [2e19, 1e20, -1e20, 3e38, -3e38]),
+        (np.float64, [1e20, -1e20, 1e200, -1e200]),
+    ], ids=["f32", "f64"])
+    def test_gelu_saturates_at_huge_inputs(self, dtype, values):
+        # The cube, and in the backward d * d, overflow; the values and
+        # gradients are the saturated ones, with no warning.
+        d = np.array(values, dtype=dtype)
+        x = T.parameter(d)
+        with T.GradTape() as tape:
+            out = T.gelu(x)
+            loss = T.tsum(out)
+        T.backward(loss, tape)
+        np.testing.assert_array_equal(out.data, np.where(d > 0, d, 0))
+        np.testing.assert_array_equal(x.grad, np.where(d > 0, 1, 0))
+
     def test_relu(self):
         out = T.relu(t64([-1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])

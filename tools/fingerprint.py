@@ -6,9 +6,8 @@ Prints one line per fingerprint:
 
 * ``train()`` at batch 2, seed 3, 64x64 crops with the default scale/flip
   augmentation: the loss of every iteration as ``float.hex``, then the
-  SHA-256 of the final checkpoint.  Runs micro f32 x6, micro f64 x3,
-  micro with reductions (3, 3, 3, 1) f32 x3 (stages 1-3 zero-pad before
-  reducing) and ipt-t f32 x2 iterations.
+  SHA-256 of the final checkpoint.  Runs micro f32 x6, micro f64 x3 and
+  ipt-t f32 x2 iterations.
 * the same for ipt-t f32 x2 at batch 1 and 256x256 crops, where the
   decoder and stage-1 attention record several blocks on the tape.
 * the SHA-256 of the eval-mode logits of one image for ipt-t f32 at
@@ -17,8 +16,7 @@ Prints one line per fingerprint:
   blocks its products moves the logits by float rounding, and so their
   hash, but should leave the labels as they are.
 * the SHA-256 of every `emit_report` format of `count_params` and of
-  `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset
-  and the odd-reduction micro.
+  `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset.
 * the number of recorded ops and the SHA-256 of the tape gradients of every
   parameter, in store order, for one loss: the composition of
   `incepformer gradcheck` (micro f64, 32x32, batch 2, BatchNorm frozen),
@@ -38,7 +36,6 @@ the peak (without the two tape lines: 2.0 s and 0.51 GiB).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import tempfile
@@ -54,16 +51,12 @@ from incepformer.tensor import GradTape, Tensor, backward
 from incepformer.train import cross_entropy
 
 SEED = 3
-ODD_REDUCTION = dataclasses.replace(
-    micro(), stages=tuple(dataclasses.replace(sc, reduction=r)
-                          for sc, r in zip(micro().stages, (3, 3, 3, 1))))
 RUNS = (
     ("micro-f32", micro(), "f32", 6),
     ("micro-f64", micro(), "f64", 3),
-    ("micro-r3331-f32", ODD_REDUCTION, "f32", 3),
     ("ipt-t-f32", ipt_t(), "f32", 2),
 )
-ANALYZE_CONFIGS = [mk() for mk in PRESETS.values()] + [ODD_REDUCTION]
+ANALYZE_CONFIGS = [mk() for mk in PRESETS.values()]
 ANALYZE_SIZES = ((32, 32), (64, 96), (512, 512), (1024, 2048))
 
 
