@@ -158,7 +158,7 @@ class _Walk:
                 self.op(f"{b}/res2@add", length * c, CAT_ELEMENTWISE)
             cin = c
         h4, w4 = stage_hw[0]
-        for i, sc in enumerate(cfg.stages, start=1):
+        for i, sc in enumerate(cfg.stages[1:], start=2):
             self.op(f"decoder/upsample_f{i}@interp", 4 * sc.channels * h4 * w4, CAT_ELEMENTWISE)
         self.conv("decoder/fuse", cfg.concat_channels, cfg.decoder_channels, 1, 1, 1, h4, w4)
         self.conv("decoder/classify", cfg.decoder_channels, cfg.num_classes, 1, 1, 1, h4, w4)

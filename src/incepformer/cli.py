@@ -39,6 +39,17 @@ def _parse_size(text: str, option: str) -> tuple[int, int]:
     return h, w
 
 
+def _check_output_paths(*paths):
+    """Raise, before any work, the OSError that writing each given path
+    would raise late: its parent directory is missing, or the path is a
+    directory."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="incepformer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,9 +144,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_model_config(args.model)
     ch, cw = _parse_size(args.crop, "--crop")
-    for path in (args.checkpoint, args.out):  # written only after the last iteration
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    _check_output_paths(args.checkpoint, args.out)  # written only after the last iteration
     tcfg = TrainConfig(base_lr=args.lr, max_iters=args.iters, batch_size=args.batch,
                        crop=(ch, cw), seed=args.seed)
     dataset = make_synth_dataset(16, ch, cw, cfg.num_classes, args.seed)
@@ -180,6 +189,7 @@ def _cmd_infer(args) -> int:
     cfg = load_model_config(args.model)
     if cfg.num_classes > 256:
         raise ContractError("more than 256 classes cannot be written as 8-bit PGM")
+    _check_output_paths(args.out, args.color_out)
     image = read_image(args.image)
     _, h, w = image.shape
     model = build_model(cfg, seed=args.seed, dtype=args.dtype)

@@ -173,17 +173,18 @@ class Stage(Module):
 
 
 class Decoder(Module):
-    """Upsample every pyramid level to 1/4 resolution, concatenate along
-    channels, then two 1x1 convolutions down to class logits.
+    """Upsample pyramid levels 2-4 to the 1/4 resolution of level 1,
+    concatenate all four along channels, then two 1x1 convolutions down to
+    class logits.
 
     This runs one `T.block_ranges` block of 1/4-resolution rows at a time,
-    sized by its concat: every level's rows of the upsample
-    (`bilinear_upsample(rows=)`), their concat, `fuse` and `classify`; the
-    block logits are concatenated along H.  So no full-size concat or
-    `fuse` output is held (a tape keeps each block's until the backward,
-    which then takes one block's gradients at a time).  A 1x1 conv acts on
-    each pixel alone, so the blocks differ from one whole forward by float
-    rounding at most.
+    sized by its concat: level 1's rows (`slice_rows`), the other levels'
+    rows of the upsample (`bilinear_upsample(rows=)`), their concat, `fuse`
+    and `classify`; the block logits are concatenated along H.  So no
+    full-size concat or `fuse` output is held (a tape keeps each block's
+    until the backward, which then takes one block's gradients at a time).
+    A 1x1 conv acts on each pixel alone, so the blocks differ from one
+    whole forward by float rounding at most.
     """
 
     def __init__(self, cfg: ModelConfig, init: InitCtx):
@@ -193,16 +194,18 @@ class Decoder(Module):
     def forward(self, feats: list[Tensor]) -> Tensor:
         h4, w4 = feats[0].shape[2], feats[0].shape[3]
         for i, f in enumerate(feats[1:], start=2):
-            expect = (h4 // 2 ** (i - 1), w4 // 2 ** (i - 1))
+            step = math.prod(PATCH_STRIDES[1:i])
+            expect = (h4 // step, w4 // step)
             if (f.shape[2], f.shape[3]) != expect:
                 raise ShapeError(
                     f"pyramid level {i} has spatial {f.shape[2:]}, expected {expect}"
                 )
         n, c = feats[0].shape[0], sum(f.shape[1] for f in feats)
         blocks = []
-        for rows in T.block_ranges(h4, feats[0].dtype.itemsize * n * c * w4):
-            ups = [T.bilinear_upsample(f, h4, w4, rows=rows) for f in feats]
-            blocks.append(self.classify(self.fuse(T.concat(ups, axis=1))))
+        for r0, r1 in T.block_ranges(h4, feats[0].dtype.itemsize * n * c * w4):
+            levels = [T.slice_rows(feats[0], r0, r1)]
+            levels += [T.bilinear_upsample(f, h4, w4, rows=(r0, r1)) for f in feats[1:]]
+            blocks.append(self.classify(self.fuse(T.concat(levels, axis=1))))
         return T.concat(blocks, axis=2)
 
     __call__ = forward

@@ -468,7 +468,8 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def slice_rows(x: Tensor, r0: int, r1: int) -> Tensor:
-    """Rows r0:r1 of axis -2: [..., r1 - r0, C]; all rows are `x` itself, unrecorded."""
+    """Rows r0:r1 of axis -2 (the H of [N, C, H, W], the L of [N, L, C]); all
+    rows are `x` itself, unrecorded."""
     r0, r1 = int(r0), int(r1)
     if x.ndim < 2 or not 0 <= r0 < r1 <= x.shape[-2]:
         raise ShapeError(f"slice_rows {r0}:{r1} of shape {x.shape} needs 0 <= r0 < r1 <= rows")
@@ -760,43 +761,15 @@ def _conv2d_patch(x, w, b):
     return out, bwd
 
 
-def _pairwise_sum(terms: list) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays in the order of numpy's
-    pairwise summation of one contiguous run of len(terms) values:
-    sequential below 8 terms, eight running sums combined as a tree up to
-    128, and halves (at a multiple of 8) above that."""
-    n = len(terms)
-    if n < 8:
-        s = terms[0].copy()
-        for t in terms[1:]:
-            s += t
-        return s
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    r = [t.copy() for t in terms[:8]]
-    for i in range(8, n - n % 8, 8):
-        for j in range(8):
-            r[j] += terms[i + j]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for t in terms[n - n % 8:]:
-        s += t
-    return s
-
-
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Mean over the non-overlapping k x k windows of a [N, C, H, W] input
     whose H and W are multiples of k: out = [N, C, H/k, W/k].
 
     The k * k window taps are summed as whole-array adds over strided views
-    of x, in the order of `x.reshape(N, C, H/k, k, W/k, k).mean(axis=(3, 5))`,
-    so the values are bitwise that expression's, at a fraction of the cost
-    of numpy's multi-axis reduction: starting from 0, each window row adds
-    the pairwise sum (`_pairwise_sum`) of its k columns, the rows in
-    sequence; then the sum is divided by k * k.  Where the output is one
-    column wide, a window's k * k values are contiguous and numpy sums them
-    as one pairwise run, so here a one-axis sum over that run does the
-    same."""
+    of x in row-major order (tap (0, 0), then the rest of window row 0,
+    then each next row), and the sum is divided by k * k.  That is the
+    order of the scalar loop oracle `tests/oracles.py::avg_pool_loops`, so
+    float64 values are bitwise its values."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-D input, got {x.shape}")
     k = int(kernel)
@@ -806,13 +779,11 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d input {h}x{w} is not a multiple of kernel {k}")
     ho, wo = h // k, w // k
-    if wo == 1:
-        out = x.data.reshape(n, c, ho, wo, k * k).sum(axis=4)
-    else:
-        v = x.data.reshape(n, c, ho, k, wo, k)
-        out = np.zeros((n, c, ho, wo), x.dtype)
-        for u in range(k):
-            out += _pairwise_sum([v[:, :, :, u, :, j] for j in range(k)])
+    v = x.data.reshape(n, c, ho, k, wo, k)
+    taps = [v[:, :, :, u, :, j] for u in range(k) for j in range(k)]
+    out = taps[0].copy()
+    for t in taps[1:]:
+        out += t
     out /= k * k
 
     def bwd(g):

