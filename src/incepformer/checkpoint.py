@@ -87,8 +87,9 @@ def _read(fh, n: int) -> bytes:
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
-    """Read a checkpoint; a tensor holding NaN or +-inf raises a
-    CheckpointError that names it."""
+    """Read a checkpoint.  A tensor holding NaN or +-inf, or one whose name
+    repeats an earlier one, raises a CheckpointError that names it; bytes
+    after the iteration counter raise a CheckpointError that counts them."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
@@ -116,8 +117,12 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
             arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"tensor {name!r} holds non-finite values")
+            if name in tensors:
+                raise CheckpointError(f"tensor {name!r} appears more than once")
             tensors[name] = arr
         (iteration,) = struct.unpack("<Q", _read(fh, 8))
+        if fh.tell() != size:
+            raise CheckpointError(f"{size - fh.tell()} trailing bytes after the iteration counter")
     return tensors, iteration
 
 

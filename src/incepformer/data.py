@@ -43,17 +43,14 @@ class Region:
 
 
 def class_colors(n_cls: int) -> np.ndarray:
-    """Fixed color per class id (bit-reversal palette), float32 [n, 3] in [0, 1]."""
-    pal = np.zeros((n_cls, 3), dtype=np.float32)
-    for i in range(n_cls):
-        c, r, g, b = i, 0, 0, 0
-        for j in range(8):
-            r |= ((c >> 0) & 1) << (7 - j)
-            g |= ((c >> 1) & 1) << (7 - j)
-            b |= ((c >> 2) & 1) << (7 - j)
-            c >>= 3
-        pal[i] = (r / 255.0, g / 255.0, b / 255.0)
-    return pal
+    """Fixed color per class id (bit-reversal palette), float32 [n, 3] in [0, 1].
+
+    Bit 3 * j + ch of the id sets bit 7 - j of channel ch (r, g, b) for
+    j < 8; higher bits of the id are unused."""
+    j = np.arange(8)[:, None]
+    bits = (np.arange(n_cls)[:, None, None] >> (3 * j + np.arange(3))) & 1  # [n, 8, 3]
+    rgb = (bits << (7 - j)).sum(axis=1)
+    return (rgb / 255.0).astype(np.float32)
 
 
 def generate_regions(rng: np.random.Generator, h: int, w: int, n_cls: int) -> list[Region]:

@@ -55,20 +55,14 @@ def label_map(logits: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     The logits are checked finite once: bilinear weights are convex, so
     their resized blocks are finite too (as in `train.cross_entropy`).
-
-    The argmax is the lowest class index that reaches the block's maximum
-    over classes: bitwise `argmax(axis=1)`, at a fraction of its cost on a
-    [rows, K, W] block, whose class axis numpy's argmax copies to the end.
+    Each [rows, K, W] block takes numpy's `argmax` over its class axis.
     """
     if not np.isfinite(logits).all():
         raise NumericsError("label_map: the logits hold non-finite values")
-    k = logits.shape[0]
     walk = T.row_bands((1,) + logits.shape, out_h, out_w, logits.dtype)[0]
-    index = np.arange(k, dtype=np.min_scalar_type(k))[:, None]
     labels = np.empty((out_h, out_w), dtype=np.intp)
     for (r0, r1, _, _), z in walk(logits[None]):
-        top = z[0].max(axis=1, keepdims=True)
-        labels[r0:r1] = np.where(z[0] == top, index, k).min(axis=1)
+        labels[r0:r1] = z[0].argmax(axis=1)
     return labels
 
 

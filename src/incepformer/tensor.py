@@ -33,6 +33,9 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 # tanh-approximation GELU constants
 GELU_COEF = 0.7978845608028654  # sqrt(2/pi)
 GELU_CUBIC = 0.044715
+# |x| bound in the GELU derivative's 3 * GELU_CUBIC * x * x factor only: past
+# it the tanh is already +-1 in f32 and f64, so the term it scales is +-0.
+GELU_CLIP = 1e3
 
 # Bytes of the working set of one block, for every blocked loop, in training
 # and evaluation alike: channel blocks of the depthwise conv, row blocks of
@@ -197,23 +200,20 @@ def active_tape() -> Optional[GradTape]:
     return _ACTIVE_TAPE
 
 
-def _dot_finite(data: np.ndarray) -> bool:
-    """True if one BLAS dot of contiguous `data` with itself is finite,
-    which proves every value finite, without a bool temporary: the squares
-    are never negative, so a NaN or an inf anywhere makes the dot NaN or
-    inf (no inf - inf can arise).  False also for finite values whose
-    squares overflow (above about 1e19 in f32)."""
-    flat = data.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return math.isfinite(np.dot(flat, flat))
-
-
 def _check_finite(data: np.ndarray, op: str):
     """Raise NumericsError naming `op` if contiguous `data` holds NaN or +-inf.
 
-    `_dot_finite` decides the common case; only where it fails does the
-    exact `np.isfinite` test run, so what raises is that test alone."""
-    if not _dot_finite(data) and not np.isfinite(data).all():
+    One BLAS dot of `data` with itself decides the common case without a
+    bool temporary: the squares are never negative, so a NaN or an inf
+    anywhere makes the dot NaN or inf (no inf - inf can arise).  Finite
+    values whose squares overflow (above about 1e19 in f32) fail it too, so
+    only where it fails does the exact `np.isfinite` test run, and what
+    raises is that test alone."""
+    flat = data.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(np.dot(flat, flat)):
+            return
+    if not np.isfinite(data).all():
         raise NumericsError(f"{op} produced non-finite values")
 
 
@@ -398,9 +398,10 @@ def gelu(x: Tensor) -> Tensor:
 
     Every finite input gives a finite value and gradient.  Once the tanh
     is +-1 (its argument may overflow to +-inf on the way) the value is x
-    or 0 and the gradient 1 or 0: the derivative's second term is +-0
-    there, or 0 * inf = NaN where d * d overflows, in which case the
-    backward drops it; so no finite gradient changes."""
+    or 0 and the gradient 1 or 0.  The backward clips x to +-GELU_CLIP in
+    the derivative's 3 * GELU_CUBIC * x * x factor, so x * x cannot
+    overflow; the term that factor scales is +-0 beyond the clip anyway,
+    so no gradient changes."""
     d = x.data
 
     def tanh_term():
@@ -411,11 +412,8 @@ def gelu(x: Tensor) -> Tensor:
 
     def bwd(g):
         t = tanh_term()
-        with np.errstate(over="ignore", invalid="ignore"):
-            local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * d * d))
-        if not _dot_finite(local):
-            saturated = t * t == 1
-            local[saturated] = 0.5 * (1.0 + t[saturated])
+        dc = np.clip(d, -GELU_CLIP, GELU_CLIP)
+        local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * dc * dc))
         return (g * local,)
 
     return record_op(out, (x,), bwd, "gelu")
@@ -765,11 +763,14 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Mean over the non-overlapping k x k windows of a [N, C, H, W] input
     whose H and W are multiples of k: out = [N, C, H/k, W/k].
 
-    The k * k window taps are summed as whole-array adds over strided views
-    of x in row-major order (tap (0, 0), then the rest of window row 0,
-    then each next row), and the sum is divided by k * k.  That is the
-    order of the scalar loop oracle `tests/oracles.py::avg_pool_loops`, so
-    float64 values are bitwise its values."""
+    One copy lays x out tap-major, [k * k, N, C, H/k, W/k] with the taps in
+    row-major window order (tap (0, 0), then the rest of window row 0, then
+    each next row).  `np.add.reduce` over its first axis adds those taps
+    whole array by whole array in that order, starting from 0, and the sum
+    is divided by k * k.  That is the order of the scalar loop oracle
+    `tests/oracles.py::avg_pool_loops`, so float64 values are bitwise its
+    values, except where the output holds a single value: numpy then sums
+    the one window pairwise."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-D input, got {x.shape}")
     k = int(kernel)
@@ -779,11 +780,8 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d input {h}x{w} is not a multiple of kernel {k}")
     ho, wo = h // k, w // k
-    v = x.data.reshape(n, c, ho, k, wo, k)
-    taps = [v[:, :, :, u, :, j] for u in range(k) for j in range(k)]
-    out = taps[0].copy()
-    for t in taps[1:]:
-        out += t
+    taps = np.ascontiguousarray(x.data.reshape(n, c, ho, k, wo, k).transpose(3, 5, 0, 1, 2, 4))
+    out = np.add.reduce(taps.reshape(k * k, n, c, ho, wo), axis=0)
     out /= k * k
 
     def bwd(g):

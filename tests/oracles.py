@@ -118,6 +118,22 @@ def attention_loop_oracle(q_tok, kv_tok, attn):
     return out
 
 
+def palette_loops(n_cls):
+    """Bit-reversal class palette by scalar loops: bits 0, 1, 2 of the id go
+    to the top bits of r, g, b, the next three to the next bits, and so on
+    for eight rounds; float32 [n, 3] in [0, 1]."""
+    pal = np.zeros((n_cls, 3), dtype=np.float32)
+    for i in range(n_cls):
+        c, r, g, b = i, 0, 0, 0
+        for j in range(8):
+            r |= ((c >> 0) & 1) << (7 - j)
+            g |= ((c >> 1) & 1) << (7 - j)
+            b |= ((c >> 2) & 1) << (7 - j)
+            c >>= 3
+        pal[i] = (r / 255.0, g / 255.0, b / 255.0)
+    return pal
+
+
 def naive_miou(gt_list, pred_list, n_cls, ignore_index):
     """Per-pixel double-loop confusion and IoU."""
     tp = [0] * n_cls

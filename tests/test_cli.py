@@ -230,6 +230,15 @@ class TestTrainEvalCommands:
         assert run_cli(["eval", "--model", "micro", "--checkpoint", path, "--crop", "64x64"]) == 1
         assert repr(name) in capsys.readouterr().err
 
+    def test_eval_trailing_bytes_checkpoint_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "tail.ckpt"
+        assert run_cli(["train", "--model", "micro", "--iters", "1", "--crop", "64x64",
+                        "--checkpoint", str(path)]) == 0
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", "micro", "--checkpoint", str(path), "--crop", "64x64"]) == 1
+        assert "3 trailing bytes" in capsys.readouterr().err
+
     def test_train_determinism_across_invocations(self, capsys):
         run_cli(["train", "--model", "micro", "--iters", "2", "--crop", "64x64",
                  "--seed", "7"])

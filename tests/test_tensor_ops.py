@@ -552,8 +552,11 @@ class TestUnaryMaps:
     def test_gelu_bitwise_equals_direct_expressions(self, dtype):
         # Forward and backward round exactly like these expressions,
         # subnormal and near-zero inputs included.
-        tiny = [1e-39, -1e-39, 5e-45, -5e-45, 2.5e-38, -2.5e-38, 0.0, -0.0, 40.0, -40.0]
-        d = np.concatenate([np.random.default_rng(3).standard_normal(500) * 4, tiny]).astype(dtype)
+        tiny = [1e-39, -1e-39, 5e-45, -5e-45, 2.5e-38, -2.5e-38, 0.0, -0.0]
+        # Around and past GELU_CLIP, where the backward clips x in one factor
+        # (in f32 the cube overflows from about 7e12).
+        wide = [s * v for v in (8.0, 40.0, 999.0, 1000.0, 1001.0, 1e6, 1e12, 1e18) for s in (1, -1)]
+        d = np.concatenate([np.random.default_rng(3).standard_normal(500) * 4, tiny, wide]).astype(dtype)
         g = np.random.default_rng(4).standard_normal(d.shape).astype(dtype)
         x = T.parameter(d)
         with T.GradTape() as tape:
@@ -561,11 +564,15 @@ class TestUnaryMaps:
             loss = T.tsum(T.mul(out, Tensor(g)))
         T.backward(loss, tape)
         c, k = T.GELU_COEF, T.GELU_CUBIC
-        t = np.tanh(c * (d + k * d * d * d))
-        want = 0.5 * d * (1.0 + t)
-        local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (c * (1.0 + 3.0 * k * d * d))
+        with np.errstate(over="ignore"):
+            t = np.tanh(c * (d + k * d * d * d))
+            want = 0.5 * d * (1.0 + t)
+            local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * (c * (1.0 + 3.0 * k * d * d))
         assert out.data.tobytes() == want.tobytes()
         assert x.grad.tobytes() == (g * local).tobytes()
+        # Past the clip the clipped factor scales (1 - t * t), already 0 there.
+        clip = dtype(T.GELU_CLIP)
+        assert np.tanh(dtype(c) * (clip + dtype(k) * clip**3)) == 1
         # Near the top of the range 0.5 * d * (1 + t) is finite where
         # (1 + t) * d would overflow.
         huge = np.array([3e38, -3e38, 1.7e38], dtype=dtype)

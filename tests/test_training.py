@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import naive_miou
+from oracles import naive_miou, palette_loops
 
 from incepformer import tensor as T
 from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -82,6 +82,13 @@ class TestSynthDataset:
         base = class_colors(n_cls)[samples[idx].label]
         diff = np.abs(samples[idx].image - base.transpose(2, 0, 1))
         assert diff.max() <= NOISE_AMPLITUDE + 1e-7
+
+    # 65536 is MAX_NUM_CLASSES: ids up to 16 bits, so six rounds of bits.
+    @pytest.mark.parametrize("n_cls", [1, 2, 9, 150, 65536])
+    def test_class_colors_equal_loop_oracle(self, n_cls):
+        got = class_colors(n_cls)
+        assert got.dtype == np.float32 and got.shape == (n_cls, 3)
+        assert got.tobytes() == palette_loops(n_cls).tobytes()
 
 
 class TestAugment:
@@ -490,6 +497,26 @@ class TestCheckpoint:
         short.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(str(short))
+
+    @pytest.mark.parametrize("tail", [b"\x00junk", "itself"])
+    def test_trailing_bytes_rejected(self, tmp_path, tail):
+        # Garbage after a valid file, or two checkpoints joined into one.
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(str(path), {"w": np.ones(3, dtype=np.float32)}, 1)
+        raw = path.read_bytes()
+        tail = raw if tail == "itself" else tail
+        path.write_bytes(raw + tail)
+        with pytest.raises(CheckpointError, match=f"^{len(tail)} trailing bytes"):
+            load_checkpoint(str(path))
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # Two one-value tensors named "w", built field by field like HOSTILE_CKPT.
+        entry = struct.pack("<HcBI", 1, b"w", 1, 1)
+        raw = MAGIC + struct.pack("<I", 2) + entry + struct.pack("<f", 1.0) + entry + struct.pack("<f", 2.0)
+        path = tmp_path / "dup.ckpt"
+        path.write_bytes(raw + struct.pack("<Q", 0))
+        with pytest.raises(CheckpointError, match="'w' appears more than once"):
+            load_checkpoint(str(path))
 
     def test_declared_size_beyond_file_rejected(self, tmp_path):
         path = tmp_path / "huge.ckpt"
