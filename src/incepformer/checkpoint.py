@@ -64,18 +64,25 @@ def atomic_write(path: str):
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], iteration: int):
-    """Write `tensors` to `path` atomically (see `atomic_write`)."""
+    """Write `tensors` to `path` atomically (see `atomic_write`).  A tensor
+    whose float32 payload holds NaN or +-inf (a float64 value beyond the
+    float32 range included), which `load_checkpoint` would reject, raises a
+    CheckpointError naming it and `path`, and `path` keeps its content."""
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(tensors)))
         for name, arr in tensors.items():
+            with np.errstate(over="ignore"):
+                payload = np.ascontiguousarray(arr, dtype="<f4")
+            if not np.isfinite(payload).all():
+                raise CheckpointError(f"tensor {name!r} holds non-finite float32 values; not writing {path!r}")
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<B", arr.ndim))
             for d in arr.shape:
                 fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(payload.tobytes())
         fh.write(struct.pack("<Q", int(iteration)))
 
 
@@ -126,12 +133,17 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
     return tensors, iteration
 
 
-def apply_tensors(targets: dict[str, np.ndarray], loaded: dict[str, np.ndarray]):
+def apply_tensors(targets: dict[str, np.ndarray], loaded: dict[str, np.ndarray], skipped=frozenset()):
     """Copy loaded arrays into target arrays in place, checking names/shapes.
 
+    A loaded name that is neither a target nor in `skipped` raises
+    CheckpointShapeError naming the first one, before anything is copied.
     Targets are visited in their own (model) order so the first mismatch
     reported is deterministic.
     """
+    extra = next((name for name in loaded if name not in targets and name not in skipped), None)
+    if extra is not None:
+        raise CheckpointShapeError(f"checkpoint tensor {extra!r} has no counterpart in the model")
     for name, dst in targets.items():
         if name not in loaded:
             raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")

@@ -141,7 +141,7 @@ def check_op_gradients(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> lis
     run("conv2d_depthwise", lambda x, w, b: T.conv2d(x, w, b, stride=(1, 1), padding=(1, 1), groups=3),
         _rand(rng, (1, 3, 4, 4)), _rand(rng, (3, 1, 3, 3)), _rand(rng, (3,)))
     run("avg_pool2d", lambda x: T.avg_pool2d(x, 2), _rand(rng, (1, 2, 4, 4)))
-    run("layer_norm", lambda x, g, b: T.layer_norm(x, g, b, eps=1e-6),
+    run("layer_norm", T.layer_norm,
         _rand(rng, (2, 3, 4)), _rand(rng, (4,)), _rand(rng, (4,)))
     run("bilinear_upsample", lambda x: T.bilinear_upsample(x, 5, 6),
         _rand(rng, (1, 2, 3, 3)))
@@ -153,14 +153,14 @@ def check_op_gradients(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> lis
     def bn_train(x, g, b):
         rm = np.zeros(3)
         rv = np.ones(3)
-        return T.batch_norm2d(x, g, b, rm, rv, mode="train", eps=1e-5, update_running=False)
+        return T.batch_norm2d(x, g, b, rm, rv, training=True, update_running=False)
 
     run("batch_norm2d_train", bn_train, _rand(rng, (2, 3, 3, 2)), _rand(rng, (3,)), _rand(rng, (3,)))
 
     def bn_eval(x, g, b):
         rm = np.full(3, 0.3)
         rv = np.full(3, 1.7)
-        return T.batch_norm2d(x, g, b, rm, rv, mode="eval", eps=1e-5)
+        return T.batch_norm2d(x, g, b, rm, rv, training=False)
 
     run("batch_norm2d_eval", bn_eval, _rand(rng, (2, 3, 3, 2)), _rand(rng, (3,)), _rand(rng, (3,)))
 

@@ -156,11 +156,8 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(channels, dtype=init.dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        mode = "train" if self.training else "eval"
-        return T.batch_norm2d(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            mode=mode, update_running=self.track_running,
-        )
+        return T.batch_norm2d(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                              self.training, self.track_running)
 
     __call__ = forward
 

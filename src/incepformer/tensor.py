@@ -797,18 +797,20 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
 
 # Weight of a batch's statistics in BatchNorm's running buffers.
 BN_MOMENTUM = 0.1
+# What every BatchNorm and LayerNorm adds to the variance before its square root.
+NORM_EPS = 1e-5
 
 
-def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, ch: int, axes: tuple, stats, eps: float, name: str):
-    """gamma * (x - mean) * inv_std + beta with [C] gamma/beta along axis `ch`:
-    the one body of `batch_norm2d` and `layer_norm`, recorded as op `name`.
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, ch: int, axes: tuple, stats, name: str):
+    """gamma * (x - mean) / sqrt(var + NORM_EPS) + beta with [C] gamma/beta
+    along axis `ch`: the one body of `batch_norm2d` and `layer_norm`,
+    recorded as op `name`.
 
     `stats` None normalizes with the biased mean and variance of x over
     `axes`, so the x gradient has their two batch-sum terms; a (mean, var)
-    pair of [C] arrays is used as given and the x gradient is
-    g * gamma * inv_std.  Where sqrt(var + eps) is 0, inv_std is 0, so the
-    output is beta.  Returns (output, mean, var), mean and var shaped to
-    broadcast against x.
+    pair of [C] arrays, var never negative, is used as given and the x
+    gradient is g * gamma * inv_std.  Returns (output, mean, var), mean and
+    var shaped to broadcast against x.
     """
     c = x.shape[ch]
     for pname, t in (("gamma", gamma), ("beta", beta)):
@@ -825,8 +827,7 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, ch: int, axes: tuple, sta
     else:
         mean, var = stats[0].reshape(shape), stats[1].reshape(shape)
         xc = x.data - mean
-    denom = np.sqrt(var + eps)
-    inv = 1.0 / np.where(denom > 0, denom, np.inf)  # 0 where var + eps is 0, so the output is beta
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
     out = g_b * xhat + beta.data.reshape(shape)
     m, ndim, dtype = x.size // mean.size, x.ndim, x.dtype
@@ -846,25 +847,25 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, ch: int, axes: tuple, sta
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
-                 mode: str = "train", eps: float = 1e-5, update_running: bool = True) -> Tensor:
+                 training: bool, update_running: bool = True) -> Tensor:
     """Per-channel normalization of a [N, C, H, W] tensor over N*H*W.
 
-    Train mode uses the batch statistics and, when `update_running` is set,
+    Training uses the batch statistics and, when `update_running` is set,
     folds them into the running buffers in place as
-    running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch.  Eval mode
-    normalizes with the running buffers.  See `_normalize`.
+    running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch.  Otherwise
+    it normalizes with the running buffers; a negative running variance
+    (only a checkpoint or a caller can supply one) raises NumericsError.
+    See `_normalize`.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm2d expects 4-D input, got {x.shape}")
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"batch_norm2d mode must be train/eval, got {mode!r}")
-    if eps < 0:
-        raise ConfigError("batch_norm2d eps must be >= 0")
-    stats = None if mode == "train" else (running_mean, running_var)
-    if stats is None and x.size == x.shape[1]:
+    if training and x.size == x.shape[1]:
         raise NumericsError("batch_norm2d train mode with a single value per channel has degenerate statistics")
-    out, mean, var = _normalize(x, gamma, beta, 1, (0, 2, 3), stats, eps, "batch_norm2d")
-    if stats is None and update_running:
+    if not training and (running_var < 0).any():
+        raise NumericsError(f"batch_norm2d running variance is negative in channel {np.argmax(running_var < 0)}")
+    stats = None if training else (running_mean, running_var)
+    out, mean, var = _normalize(x, gamma, beta, 1, (0, 2, 3), stats, "batch_norm2d")
+    if training and update_running:
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean.reshape(-1)
         running_var *= 1.0 - BN_MOMENTUM
@@ -872,12 +873,12 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarra
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each position over its last (channel) axis, then apply
     gamma/beta.  See `_normalize`."""
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"layer_norm needs a non-empty channel axis, got {x.shape}")
-    return _normalize(x, gamma, beta, -1, (-1,), None, eps, "layer_norm")[0]
+    return _normalize(x, gamma, beta, -1, (-1,), None, "layer_norm")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -902,9 +903,9 @@ def interp_matrix(in_size: int, out_size: int, align_corners: bool, dtype=np.flo
     i0 = np.clip(i0, 0, in_size - 1)
     i1 = np.minimum(i0 + 1, in_size - 1)
     frac = src - i0
-    for r in range(out_size):
-        w[r, i0[r]] += 1.0 - frac[r]
-        w[r, i1[r]] += frac[r]
+    rows = np.arange(out_size)
+    np.add.at(w, (rows, i0), 1.0 - frac)
+    np.add.at(w, (rows, i1), frac)
     return w
 
 
@@ -990,26 +991,15 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int, align_corners: bool = F
 
 
 def img2seq(x: Tensor) -> Tensor:
-    """[N, C, H, W] -> [N, H*W, C] with row-major token order.
-
-    The transposing copy runs 8 channels at a time.  Over all channels at
-    once it reads C planes H*W*itemsize bytes apart, a power of two at
-    every stage of a 512x512 input, and these share cache sets: the copies
-    of one ipt-t 512x512 eval forward took 17-86 ms by where the arrays
-    landed, against about 4 ms in slices of 8.  A copy is bitwise the same.
-    """
+    """[N, C, H, W] -> [N, H*W, C] with row-major token order."""
     if x.ndim != 4:
         raise ShapeError(f"img2seq expects 4-D input, got {x.shape}")
     n, c, h, w = x.shape
-    out = np.empty((n, h * w, c), dtype=x.dtype)
-    planes = x.data.reshape(n, c, h * w)
-    for c0 in range(0, c, 8):
-        out[:, :, c0 : c0 + 8] = planes[:, c0 : c0 + 8].transpose(0, 2, 1)
 
     def bwd(g):
         return (g.reshape(n, h, w, c).transpose(0, 3, 1, 2),)
 
-    return record_op(out, (x,), bwd, "img2seq")
+    return record_op(x.data.reshape(n, c, h * w).transpose(0, 2, 1), (x,), bwd, "img2seq")
 
 
 def seq2img(x: Tensor, h: int, w: int) -> Tensor:

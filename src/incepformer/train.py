@@ -219,9 +219,13 @@ def save_training_checkpoint(path: str, model: IncepFormer, state: OptimState, i
 def load_training_checkpoint(path: str, model: IncepFormer,
                              state: Optional[OptimState] = None) -> int:
     """Restore parameters/buffers (and moments when `state` is given);
-    returns the stored iteration counter."""
+    returns the stored iteration counter.  A checkpoint tensor that is not
+    in `training_state_tensors(model, state)` raises CheckpointShapeError,
+    except the moments of the model's parameters when `state` is None."""
     loaded, iteration = load_checkpoint(path)
-    apply_tensors(training_state_tensors(model, state), loaded)
+    moments = () if state is not None else {
+        f"{name}/{m}" for name in model.parameter_store().names() for m in ("m1", "m2")}
+    apply_tensors(training_state_tensors(model, state), loaded, moments)
     if state is not None:
         state.step = iteration
     return iteration

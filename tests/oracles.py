@@ -91,6 +91,23 @@ def bilinear_pixel_oracle(x, oh, ow, align_corners):
     return out
 
 
+def interp_matrix_loops(in_size, out_size, align_corners, dtype):
+    """Row-by-row 1-D bilinear interpolation matrix [out_size, in_size]:
+    per output row, the source position and its two taps in scalar
+    arithmetic, summed in float64 and cast to `dtype` at the end."""
+    w = np.zeros((out_size, in_size))
+    for r in range(out_size):
+        if align_corners:
+            src = r * (in_size - 1) / (out_size - 1) if out_size > 1 else 0.0
+        else:
+            src = min(max((r + 0.5) * in_size / out_size - 0.5, 0.0), in_size - 1)
+        i0 = min(int(math.floor(src)), in_size - 1)
+        i1 = min(i0 + 1, in_size - 1)
+        w[r, i0] += 1.0 - (src - i0)
+        w[r, i1] += src - i0
+    return w.astype(dtype)
+
+
 def attention_loop_oracle(q_tok, kv_tok, attn):
     """Scalar per-element attention: exp/normalize/weighted-sum plus the
     projections, computed with python loops."""

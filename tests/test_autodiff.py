@@ -333,8 +333,7 @@ class TestBackward:
         def f(args):
             xx, ww, gg, bb = args
             y = T.conv2d(xx, ww, t64(np.zeros(2)), stride=(2, 2))
-            y = T.batch_norm2d(y, gg, bb, np.zeros(2), np.ones(2),
-                               mode="train", update_running=False)
+            y = T.batch_norm2d(y, gg, bb, np.zeros(2), np.ones(2), training=True, update_running=False)
             y = T.softmax(T.img2seq(y), axis=-1)
             return T.tsum(T.mul(y, T.img2seq(proj)))
 

@@ -3,8 +3,11 @@
 import copy
 import json
 import os
+import math
 import stat
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -43,6 +46,33 @@ def config_text(value: str, field: str, stage: int | None = None) -> bytes:
 def checkpoint_bytes(name: bytes, dims: list[int]) -> bytes:
     return (MAGIC + struct.pack("<IH", 1, len(name)) + name
             + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + b"\0" * 4 + struct.pack("<Q", 0))
+
+
+def with_first_value(raw: bytes, name: str, value: float) -> bytes:
+    """Checkpoint bytes `raw` with the first payload value of tensor `name`
+    set to `value`, found by walking the documented layout field by field."""
+    (count,) = struct.unpack_from("<I", raw, len(MAGIC))
+    off = len(MAGIC) + 4
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", raw, off)
+        here = raw[off + 2 : off + 2 + nlen].decode()
+        rank = raw[off + 2 + nlen]
+        dims = struct.unpack_from(f"<{rank}I", raw, off + 3 + nlen)
+        off += 3 + nlen + 4 * rank
+        if here == name:
+            return raw[:off] + struct.pack("<f", value) + raw[off + 4 :]
+        off += 4 * math.prod(dims)
+    raise KeyError(name)
+
+
+def run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """`incepformer argv` in a child process that imports the same package
+    as this one, installed or not."""
+    src = str(Path(incepformer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "incepformer.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 INFER = ["infer", "{path}", "--model", "micro", "--out", "{out}"]
@@ -219,16 +249,44 @@ class TestTrainEvalCommands:
         assert "payload bytes" in capsys.readouterr().err
 
     def test_eval_non_finite_checkpoint_exit_code(self, tmp_path, capsys):
-        path = str(tmp_path / "nan.ckpt")
+        path = tmp_path / "nan.ckpt"
         assert run_cli(["train", "--model", "micro", "--iters", "1", "--crop", "64x64",
-                        "--checkpoint", path]) == 0
-        tensors, iteration = load_checkpoint(path)
-        name = next(iter(tensors))
-        tensors[name].flat[0] = np.nan
-        save_checkpoint(path, tensors, iteration)
+                        "--checkpoint", str(path)]) == 0
+        name = next(iter(load_checkpoint(str(path))[0]))
+        path.write_bytes(with_first_value(path.read_bytes(), name, math.nan))
         capsys.readouterr()
-        assert run_cli(["eval", "--model", "micro", "--checkpoint", path, "--crop", "64x64"]) == 1
+        assert run_cli(["eval", "--model", "micro", "--checkpoint", str(path), "--crop", "64x64"]) == 1
         assert repr(name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-5])
+    def test_eval_negative_running_variance_exit_code(self, value, tmp_path, capsys):
+        # Such a file once loaded and evaluated, the channel's output its beta.
+        path = tmp_path / "neg.ckpt"
+        assert run_cli(["train", "--model", "micro", "--iters", "1", "--crop", "64x64",
+                        "--checkpoint", str(path)]) == 0
+        path.write_bytes(with_first_value(path.read_bytes(), "stage1/patch/norm/running_var", value))
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", "micro", "--checkpoint", str(path), "--crop", "64x64"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "batch_norm2d running variance is negative" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "micro", "--crop", "32x32", "--checkpoint", "{ckpt}"],
+        ["train", "--model", "micro", "--crop", "32x32", "--iters", "2", "--resume", "{ckpt}"],
+    ], ids=["eval", "resume"])
+    def test_checkpoint_of_deeper_model_rejected(self, argv, tmp_path, capsys):
+        # A stage-1 block the model lacks was once dropped without a word.
+        doc = json.loads(dumps(micro()))
+        doc["stages"][0]["depth"] = 2
+        config = tmp_path / "deeper.json"
+        config.write_text(json.dumps(doc))
+        ckpt = tmp_path / "deeper.ckpt"
+        assert run_cli(["train", "--model", str(config), "--crop", "32x32", "--iters", "1",
+                        "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert run_cli([a.format(ckpt=ckpt) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "'stage1/block1/" in err
 
     def test_eval_trailing_bytes_checkpoint_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tail.ckpt"
@@ -249,16 +307,8 @@ class TestTrainEvalCommands:
         assert first == second
 
     def test_train_determinism_across_processes(self):
-        import subprocess
-        import sys
-
-        cmd = [sys.executable, "-m", "incepformer.cli", "train", "--model", "micro",
-               "--iters", "2", "--crop", "64x64", "--seed", "11"]
-        # The child must import the same package as this process, installed or not.
-        src = str(Path(incepformer.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        runs = [subprocess.run(cmd, capture_output=True, text=True, env=env) for _ in range(2)]
+        argv = ["train", "--model", "micro", "--iters", "2", "--crop", "64x64", "--seed", "11"]
+        runs = [run_cli_process(argv) for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.strip()
@@ -522,6 +572,17 @@ class TestExitCodes:
         assert run_cli(["train", "--iters", "1", "--lr", lr, "--checkpoint", str(ckpt)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "base_lr" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_lr_writes_no_checkpoint(self, tmp_path):
+        # The step overflows the float32 weights to inf; the checkpoint once
+        # written of them made eval exit 1.  A child process, because the
+        # overflow warnings are errors in this one.
+        ckpt = tmp_path / "c.ckpt"
+        run = run_cli_process(["train", "--model", "micro", "--iters", "1", "--batch", "1",
+                               "--lr", "1e300", "--checkpoint", str(ckpt)])
+        assert run.returncode == 1
+        assert "error: tensor 'stage1/patch/proj/weight' holds non-finite" in run.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory(self, monkeypatch, capsys):

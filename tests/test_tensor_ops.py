@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import avg_pool_loops, bilinear_pixel_oracle, conv2d_loops, int_valued, make_init
+from oracles import avg_pool_loops, bilinear_pixel_oracle, conv2d_loops, int_valued, interp_matrix_loops, make_init
 
 from incepformer import tensor as T
 from incepformer.errors import ConfigError, ContractError, NumericsError, ShapeError
@@ -249,56 +249,56 @@ class TestBatchNorm:
     def test_eval_identity_statistics(self):
         x = t64(np.random.default_rng(1).standard_normal((2, 3, 2, 2)))
         g, b = t64(np.ones(3)), t64(np.zeros(3))
-        out = T.batch_norm2d(x, g, b, np.zeros(3), np.ones(3), mode="eval", eps=0.0)
-        np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-15)
+        out = T.batch_norm2d(x, g, b, np.zeros(3), np.ones(3), training=False)
+        np.testing.assert_allclose(out.data, x.data / np.sqrt(1.0 + T.NORM_EPS), rtol=0, atol=1e-15)
 
     def test_train_hand_case(self):
         x = t64(np.array([1.0, 3.0]).reshape(1, 1, 1, 2))
         g, b = t64(np.ones(1)), t64(np.zeros(1))
-        out = T.batch_norm2d(x, g, b, np.zeros(1), np.ones(1), mode="train", eps=0.0)
-        np.testing.assert_array_equal(out.data.reshape(-1), [-1.0, 1.0])
+        out = T.batch_norm2d(x, g, b, np.zeros(1), np.ones(1), training=True)
+        np.testing.assert_array_equal(out.data.reshape(-1), np.array([-1.0, 1.0]) * (1.0 / np.sqrt(1.0 + T.NORM_EPS)))
 
     def test_affine_collapse(self):
         x = t64(np.random.default_rng(2).standard_normal((2, 2, 3, 3)))
         g, b = t64(np.zeros(2)), t64(np.array([5.0, -1.0]))
-        out = T.batch_norm2d(x, g, b, np.zeros(2), np.ones(2), mode="train", eps=1e-5)
+        out = T.batch_norm2d(x, g, b, np.zeros(2), np.ones(2), training=True)
         assert (out.data[:, 0] == 5.0).all() and (out.data[:, 1] == -1.0).all()
 
     def test_degenerate_statistics(self):
         x = t64(np.ones((1, 2, 1, 1)))
         g, b = t64(np.ones(2)), t64(np.zeros(2))
         with pytest.raises(NumericsError, match="degenerate"):
-            T.batch_norm2d(x, g, b, np.zeros(2), np.ones(2), mode="train")
+            T.batch_norm2d(x, g, b, np.zeros(2), np.ones(2), training=True)
 
     def test_running_stats_update(self):
         x = t64(np.array([2.0, 4.0]).reshape(1, 1, 1, 2))
         g, b = t64(np.ones(1)), t64(np.zeros(1))
         rm, rv = np.zeros(1), np.ones(1)
-        T.batch_norm2d(x, g, b, rm, rv, mode="train", eps=1e-5)
+        T.batch_norm2d(x, g, b, rm, rv, training=True)
         assert T.BN_MOMENTUM == 0.1
         assert rm[0] == pytest.approx(0.3)  # 0.9*0 + 0.1*3
         assert rv[0] == pytest.approx(1.0)  # 0.9*1 + 0.1*1 (biased var of {2,4})
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bitwise_equals_direct_expression(self, mode, dtype):
+    def test_bitwise_equals_direct_expression(self, training, dtype):
         rng = np.random.default_rng(11)
         x, g, b = (rng.standard_normal(s).astype(dtype) for s in ((2, 3, 4, 5), (3,), (3,)))
         rm, rv = rng.standard_normal(3).astype(dtype), rng.uniform(0.5, 2.0, 3).astype(dtype)
         upstream = rng.standard_normal(x.shape).astype(dtype)
         xt, gt, bt = (T.parameter(a) for a in (x, g, b))
         with T.GradTape() as tape:
-            out = T.batch_norm2d(xt, gt, bt, rm.copy(), rv.copy(), mode=mode, eps=1e-5)
+            out = T.batch_norm2d(xt, gt, bt, rm.copy(), rv.copy(), training=training)
             loss = T.tsum(T.mul(out, Tensor(upstream)))
         T.backward(loss, tape)
 
         col = lambda v: v[None, :, None, None]
         m = x.size // 3
-        mu, var = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if mode == "train" else (rm, rv)
-        inv = col(1.0 / np.sqrt(var + 1e-5))
+        mu, var = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if training else (rm, rv)
+        inv = col(1.0 / np.sqrt(var + T.NORM_EPS))
         xhat = (x - col(mu)) * inv
         dxhat = upstream * col(g)
-        if mode == "train":
+        if training:
             s1, s2 = dxhat.sum(axis=(0, 2, 3)), (dxhat * xhat).sum(axis=(0, 2, 3))
             gx = (inv / m) * (m * dxhat - col(s1) - xhat * col(s2))
         else:
@@ -311,46 +311,45 @@ class TestBatchNorm:
     def test_zero_variance_outputs_bias(self):
         x = t64(np.full((1, 1, 1, 3), 7.0))
         g, b = t64(np.ones(1)), t64(np.array([0.25]))
-        out = T.batch_norm2d(x, g, b, np.zeros(1), np.ones(1), mode="train", eps=0.0)
+        out = T.batch_norm2d(x, g, b, np.zeros(1), np.ones(1), training=True)
         assert (out.data == 0.25).all()
+
+    @pytest.mark.parametrize("var", [-1.0, -1e-5])
+    def test_negative_running_variance_raises(self, var):
+        # Such a variance once made channel 0 its beta, 0.5, with at most a RuntimeWarning.
+        x = t64(np.random.default_rng(5).standard_normal((1, 2, 2, 2)))
+        g, b = t64(np.ones(2)), t64(np.array([0.5, 0.0]))
+        with pytest.raises(NumericsError, match="batch_norm2d running variance is negative in channel 0"):
+            T.batch_norm2d(x, g, b, np.zeros(2), np.array([var, 1.0]), training=False)
 
 
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
         x = t64(np.full((2, 4), 3.0))
-        out = T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)), eps=0.0)
+        out = T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)))
         assert (out.data == 0.0).all()
 
     def test_hand_case(self):
-        out = T.layer_norm(t64([[1.0, 2.0, 3.0]]), t64(np.ones(3)), t64(np.zeros(3)), eps=0.0)
-        np.testing.assert_allclose(out.data[0], [-1.224745, 0.0, 1.224745], atol=1e-6)
-        np.testing.assert_allclose(out.data[0], [-np.sqrt(1.5), 0.0, np.sqrt(1.5)], atol=1e-12)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((3, 5))
-        g, b = t64(np.ones(5)), t64(np.zeros(5))
-        a = T.layer_norm(t64(x), g, b, eps=0.0)
-        c = T.layer_norm(t64(2.0 * x), g, b, eps=0.0)
-        np.testing.assert_allclose(a.data, c.data, atol=1e-12)
+        out = T.layer_norm(t64([[1.0, 2.0, 3.0]]), t64(np.ones(3)), t64(np.zeros(3)))
+        np.testing.assert_allclose(out.data[0], [-1.224736, 0.0, 1.224736], atol=1e-6)
+        np.testing.assert_allclose(out.data[0], np.array([-1.0, 0.0, 1.0]) / np.sqrt(2 / 3 + T.NORM_EPS), atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(6, 5), (2, 7, 5)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_equals_direct_expression(self, shape, dtype):
         rng = np.random.default_rng(12)
         x, g, b = (rng.standard_normal(s).astype(dtype) for s in (shape, (5,), (5,)))
-        x.reshape(-1, 5)[1] = 0.75  # a constant row: zero variance at eps=0, output beta
+        x.reshape(-1, 5)[1] = 0.75  # a constant row: zero variance, output beta
         upstream = rng.standard_normal(shape).astype(dtype)
         xt, gt, bt = (T.parameter(a) for a in (x, g, b))
         with T.GradTape() as tape:
-            out = T.layer_norm(xt, gt, bt, eps=0.0)
+            out = T.layer_norm(xt, gt, bt)
             loss = T.tsum(T.mul(out, Tensor(upstream)))
         T.backward(loss, tape)
 
         lead = tuple(range(x.ndim - 1))
         mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
-        denom = np.sqrt(var)
-        inv = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
+        inv = 1.0 / np.sqrt(var + T.NORM_EPS)
         xhat = (x - mu) * inv
         dxhat = upstream * g
         s1, s2 = dxhat.sum(axis=-1, keepdims=True), (dxhat * xhat).sum(axis=-1, keepdims=True)
@@ -464,6 +463,15 @@ class TestBilinear:
     def test_constant_extension(self):
         out = T.bilinear_upsample(t64(np.full((1, 1, 1, 1), 2.5)), 3, 4)
         assert (out.data == 2.5).all()
+
+    @pytest.mark.parametrize("align", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_interp_matrix_matches_row_loop_bitwise(self, align, dtype):
+        for n_in in [*range(1, 40), 64, 128, 255, 512]:
+            for n_out in [*range(1, 40), 64, 100, 128, 256, 512, 1024]:
+                got = T.interp_matrix(n_in, n_out, align, dtype)
+                want = interp_matrix_loops(n_in, n_out, align, dtype)
+                assert got.dtype == dtype and got.tobytes() == want.tobytes(), (n_in, n_out)
 
     @pytest.mark.parametrize("align", [False, True])
     def test_per_pixel_oracle(self, align):
@@ -600,7 +608,6 @@ class TestSeqImg:
 
     @pytest.mark.parametrize("c", [7, 8, 13, 64])
     def test_img2seq_equals_one_transposing_copy(self, c):
-        # img2seq copies slices of 8 channels: whole and partial slices.
         x = np.random.default_rng(c).standard_normal((2, c, 4, 6)).astype(np.float32)
         got = T.img2seq(Tensor(x))
         assert got.data.tobytes() == x.transpose(0, 2, 3, 1).reshape(2, 24, c).tobytes()

@@ -44,6 +44,7 @@ from incepformer.train import (
     poly_lr,
     save_training_checkpoint,
     train,
+    training_state_tensors,
 )
 
 
@@ -423,12 +424,28 @@ class TestMIoU:
 class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected_by_name(self, tmp_path, bad):
-        tensors = {"a/w": np.ones((2, 3), dtype=np.float32), "b/m1": np.ones(4, dtype=np.float32)}
-        tensors["b/m1"][2] = bad
-        path = str(tmp_path / "nan.ckpt")
-        save_checkpoint(path, tensors, iteration=1)
+        # "a/w" [2, 3] of ones, then "b/m1" [4] holding `bad`, built field by field like HOSTILE_CKPT.
+        raw = (MAGIC + struct.pack("<I", 2)
+               + struct.pack("<H3sB2I", 3, b"a/w", 2, 2, 3) + np.ones(6, dtype="<f4").tobytes()
+               + struct.pack("<H4sBI", 4, b"b/m1", 1, 4) + np.array([1, 1, bad, 1], dtype="<f4").tobytes()
+               + struct.pack("<Q", 1))
+        path = tmp_path / "nan.ckpt"
+        path.write_bytes(raw)
         with pytest.raises(CheckpointError, match="'b/m1'.*non-finite"):
-            load_checkpoint(path)
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad,dtype", [(np.nan, np.float32), (-np.inf, np.float32), (1e300, np.float64)],
+                             ids=["nan", "-inf", "f64-beyond-f32"])
+    def test_non_finite_payload_not_saved(self, tmp_path, bad, dtype):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), {"w": np.ones(3, dtype=np.float32)}, 1)
+        before = path.read_bytes()
+        tensors = {"a/w": np.ones((2, 3), dtype=dtype), "b/m1": np.ones(4, dtype=dtype)}
+        tensors["b/m1"][2] = bad
+        with pytest.raises(CheckpointError, match=f"'b/m1' holds non-finite .*{str(path)!r}"):
+            save_checkpoint(str(path), tensors, 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -534,6 +551,27 @@ class TestCheckpoint:
         other = build_model(dataclasses.replace(micro(), decoder_channels=16), seed=0)
         with pytest.raises(CheckpointShapeError, match="decoder/fuse/weight"):
             load_training_checkpoint(path, other)
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_tensor_the_model_lacks_rejected_by_name(self, tmp_path, with_state):
+        path = str(tmp_path / "x.ckpt")
+        model = build_model(micro(), seed=0)
+        state = init_optim_state(model.parameter_store())
+        extra = {"stage1/block1/bn1/running_var": np.ones(8, dtype=np.float32)}
+        save_checkpoint(path, {**training_state_tensors(model, state), **extra}, 3)
+        before = [p.data.copy() for _, p in model.named_parameters()]
+        with pytest.raises(CheckpointShapeError, match="'stage1/block1/bn1/running_var'"):
+            load_training_checkpoint(path, model, state if with_state else None)
+        for b, (_, p) in zip(before, model.named_parameters()):
+            np.testing.assert_array_equal(b, p.data)  # rejected before any copy
+
+    def test_moments_of_another_model_rejected_without_state(self, tmp_path):
+        # Without a state only the moments of the model's own parameters are skipped.
+        path = str(tmp_path / "m.ckpt")
+        model = build_model(micro(), seed=0)
+        save_checkpoint(path, {**training_state_tensors(model), "stage9/w/m1": np.ones(2, dtype=np.float32)}, 1)
+        with pytest.raises(CheckpointShapeError, match="'stage9/w/m1'"):
+            load_training_checkpoint(path, model)
 
     def test_training_round_trip_restores_everything(self, tmp_path):
         path = str(tmp_path / "full.ckpt")
