@@ -133,7 +133,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
     return tensors, iteration
 
 
-def apply_tensors(targets: dict[str, np.ndarray], loaded: dict[str, np.ndarray], skipped=frozenset()):
+def apply_tensors(targets: dict[str, np.ndarray], loaded: dict[str, np.ndarray], skipped):
     """Copy loaded arrays into target arrays in place, checking names/shapes.
 
     A loaded name that is neither a target nor in `skipped` raises
