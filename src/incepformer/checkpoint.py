@@ -136,9 +136,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
 def apply_tensors(targets: dict[str, np.ndarray], loaded: dict[str, np.ndarray], skipped):
     """Copy loaded arrays into target arrays in place, checking names/shapes.
 
-    A loaded name that is neither a target nor in `skipped` raises
-    CheckpointShapeError naming the first one, before anything is copied.
-    Targets are visited in their own (model) order so the first mismatch
+    Every name and shape is checked before the first copy, so a rejected
+    restore leaves every target as it was.  A loaded name that is neither a
+    target nor in `skipped` raises CheckpointShapeError naming the first
+    one; so does a target that is missing from `loaded` or whose shape
+    differs, the first in the targets' own (model) order, so the mismatch
     reported is deterministic.
     """
     extra = next((name for name in loaded if name not in targets and name not in skipped), None)
@@ -153,4 +155,5 @@ def apply_tensors(targets: dict[str, np.ndarray], loaded: dict[str, np.ndarray],
                 f"tensor {name!r} has shape {tuple(src.shape)} in checkpoint, "
                 f"expected {tuple(dst.shape)}"
             )
-        dst[...] = src.astype(dst.dtype, copy=False)
+    for name, dst in targets.items():
+        dst[...] = loaded[name].astype(dst.dtype, copy=False)

@@ -56,10 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     model_help = f"preset name ({', '.join(sorted(PRESETS))}) or JSON config path"
 
-    def common(p, model_default):
-        p.add_argument("--model", default=model_default, help=model_help)
+    def common(p):
+        p.add_argument("--model", default="micro", help=model_help)
         p.add_argument("--seed", type=int, default=0, help="non-negative")
-        p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
 
     p = sub.add_parser("analyze", help="parameter counts and FLOP estimates")
     p.add_argument("--model", default="ipt-t", help=model_help)
@@ -68,13 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("gradcheck", help="autodiff vs finite-difference comparison")
-    common(p, "micro")
-    # The h=1e-5 central differences meet tol 1e-4 only in f64.
-    p.set_defaults(dtype="f64")
+    # No --dtype: the h=1e-5 central differences meet tol 1e-4 only in f64.
+    common(p)
     p.add_argument("--input", default="32x32")
 
     p = sub.add_parser("train", help="train on the synthetic dataset")
-    common(p, "micro")
+    common(p)
+    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--lr", type=float, default=6e-5)
@@ -84,14 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the loss log to this file")
 
     p = sub.add_parser("eval", help="mIoU on the synthetic dataset")
-    common(p, "micro")
+    common(p)
+    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--crop", default="64x64", help="synthetic image size WxH")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p = sub.add_parser("infer", help="segment a P5/P6 netpbm image")
     p.add_argument("image", help="input image (binary PGM or PPM)")
-    common(p, "micro")
+    common(p)
+    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", required=True, help="class-index mask path (PGM, P5)")
     p.add_argument("--color-out", default=None, help="optional color mask path (PPM, P6)")
@@ -119,11 +120,11 @@ def _cmd_gradcheck(args) -> int:
     h, w = _parse_size(args.input, "--input")
     cfg = load_model_config(args.model)
     rows = check_op_gradients(seed=args.seed)
-    model = build_model(cfg, seed=args.seed, dtype=args.dtype)
+    model = build_model(cfg, seed=args.seed, dtype="f64")
     model.train()
     freeze_batchnorm_stats(model)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 42]))
-    image = Tensor(rng.uniform(0.0, 1.0, (2, 3, h, w)), dtype=args.dtype)
+    image = Tensor(rng.uniform(0.0, 1.0, (2, 3, h, w)), dtype="f64")
     labels = rng.integers(0, cfg.num_classes, (2, h, w))
 
     def loss_fn():

@@ -322,16 +322,6 @@ def _accumulate(node: _TapeNode, grads):
             slot.grad[index] = g
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
@@ -341,32 +331,25 @@ def _binary_check(a: Tensor, b: Tensor, op: str):
         raise ContractError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
-def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
-    """ufunc(a, b) of two tensors of one dtype whose shapes broadcast."""
+def _same_shape(a: Tensor, b: Tensor, op: str):
     _binary_check(a, b, op)
-    try:
-        return ufunc(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast(np.add, a, b, "add")
-    sa, sb = a.shape, b.shape
-
-    def bwd(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
-
-    return record_op(out, (a, b), bwd, "add")
+    """a + b of two tensors of one dtype and one shape.  Nothing broadcasts:
+    unequal shapes raise ShapeError naming both, as the model only joins
+    equal maps (its residuals)."""
+    _same_shape(a, b, "add")
+    return record_op(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast(np.multiply, a, b, "mul")
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return record_op(out, (a, b), bwd, "mul")
+    """a * b of two tensors of one dtype and one shape; unequal shapes raise
+    ShapeError naming both, as in `add`."""
+    _same_shape(a, b, "mul")
+    return record_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
 def scale(x: Tensor, c: float) -> Tensor:

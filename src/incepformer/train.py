@@ -93,24 +93,31 @@ def adamw_step(params: ParameterStore, grads: Mapping[str, np.ndarray],
     Weight decay is decoupled (applied to the weights directly).  The update
     uses the efficient Adam formulation: the step size folds in the bias
     corrections and eps is added to the uncorrected sqrt(v).
+
+    A step that overflows raises NumericsError naming the first parameter
+    whose new value or second moment holds NaN or +-inf, with no numpy
+    warning; that parameter and the ones before it are already updated.
     """
     b1, b2 = ADAMW_BETAS
     t = state.step + 1
     step_size = lr * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
     decay = 1.0 - lr * WEIGHT_DECAY
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ContractError(f"no gradient for parameter {name!r}")
-        if g.shape != p.data.shape:
-            raise ContractError(f"gradient shape {g.shape} != parameter {name!r} shape {p.shape}")
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data *= decay
-        p.data -= step_size * m / (np.sqrt(v) + ADAMW_EPS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = grads.get(name)
+            if g is None:
+                raise ContractError(f"no gradient for parameter {name!r}")
+            if g.shape != p.data.shape:
+                raise ContractError(f"gradient shape {g.shape} != parameter {name!r} shape {p.shape}")
+            m, v = state.m[name], state.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.data *= decay
+            p.data -= step_size * m / (np.sqrt(v) + ADAMW_EPS)
+            T._check_finite(p.data, f"adamw_step on {name!r}")
+            T._check_finite(v, f"adamw_step on the second moment of {name!r}")
     state.step = t
 
 
@@ -221,7 +228,9 @@ def load_training_checkpoint(path: str, model: IncepFormer,
     """Restore parameters/buffers (and moments when `state` is given);
     returns the stored iteration counter.  A checkpoint tensor that is not
     in `training_state_tensors(model, state)` raises CheckpointShapeError,
-    except the moments of the model's parameters when `state` is None."""
+    except the moments of the model's parameters when `state` is None; so
+    does a missing tensor or a shape mismatch.  Any rejection comes before
+    the first copy, and leaves the model and `state` as they were."""
     loaded, iteration = load_checkpoint(path)
     moments = () if state is not None else {
         f"{name}/{m}" for name in model.parameter_store().names() for m in ("m1", "m2")}
@@ -284,10 +293,10 @@ def train(
                 logits = model(Tensor(images, dtype=dtype))
                 loss = cross_entropy(logits, labels, cfg.ignore_index)
             backward(loss, tape)
+            lr = poly_lr(it, cfg)
+            adamw_step(store, {name: p.grad for name, p in store.items()}, state, lr)
         except NumericsError as e:
             raise NumericsError(f"training aborted at iteration {it}: {e}") from e
-        lr = poly_lr(it, cfg)
-        adamw_step(store, {name: p.grad for name, p in store.items()}, state, lr)
         value = loss.item()
         history.append(value)
         if log is not None:

@@ -706,10 +706,13 @@ class TestEngineContracts:
     @pytest.mark.parametrize("op", [
         lambda: T.add(t64(np.zeros((2, 3))), t64(np.zeros((2, 4)))),
         lambda: T.mul(t64(np.zeros((2, 3))), t64(np.zeros((3, 2)))),
+        lambda: T.add(t64(np.zeros((2, 3, 4))), t64(np.zeros((4,)))),
+        lambda: T.mul(t64(np.zeros((2, 3, 4))), t64(np.zeros((4,)))),
         lambda: T.concat([t64(np.zeros((2, 3))), t64(np.zeros((3, 3)))], axis=1),
         lambda: T.concat([t64(np.zeros((2, 3))), t64(np.zeros((2, 3)))], axis=2),
         lambda: T.seq2img(t64(np.zeros((1, 6, 2))), -2, -3),
-    ], ids=["add", "mul", "concat_extent", "concat_axis", "seq2img_negative"])
+    ], ids=["add", "mul", "add_broadcastable", "mul_broadcastable", "concat_extent", "concat_axis",
+            "seq2img_negative"])
     def test_shape_errors_are_typed(self, op):
         with pytest.raises(ShapeError, match=r"(add|mul|concat|seq2img).*\(\d"):
             op()

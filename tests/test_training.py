@@ -311,6 +311,14 @@ class TestAdamW:
         with pytest.raises(ContractError, match="'w'"):
             adamw_step(store, {}, state, lr=0.1)
 
+    def test_overflowing_second_moment_names_parameter(self):
+        # g * g overflows to inf while the weight stays finite (m / inf = 0);
+        # no numpy warning escapes, which tier-1 would turn into an error.
+        store, _ = self._scalar_store(1.0)
+        state = init_optim_state(store)
+        with pytest.raises(NumericsError, match="second moment of 'w'"):
+            adamw_step(store, {"w": np.array([1e200])}, state, lr=0.1)
+
     def test_hand_iterated_steps(self):
         # poly power=0 (constant lr): three hand-iterated steps on the
         # scalar problem f(w) = w^2
@@ -553,6 +561,28 @@ class TestCheckpoint:
             load_training_checkpoint(path, other)
 
     @pytest.mark.parametrize("with_state", [False, True])
+    def test_rejected_restore_changes_nothing(self, tmp_path, with_state):
+        # decoder/fuse/weight is the first mismatch, after 48 of the 132
+        # parameters; buffers and moments differ between the two as well.
+        import dataclasses
+
+        path = str(tmp_path / "m.ckpt")
+        rng = np.random.default_rng(0)
+        model = build_model(micro(), seed=0)
+        state = init_optim_state(model.parameter_store())
+        for arr in training_state_tensors(model, state).values():
+            arr[...] = rng.uniform(0.5, 1.5, arr.shape)
+        save_training_checkpoint(path, model, state, 3)
+        other = build_model(dataclasses.replace(micro(), decoder_channels=16), seed=1)
+        other_state = init_optim_state(other.parameter_store()) if with_state else None
+        targets = training_state_tensors(other, other_state)
+        before = {name: arr.copy() for name, arr in targets.items()}
+        with pytest.raises(CheckpointShapeError, match="decoder/fuse/weight"):
+            load_training_checkpoint(path, other, other_state)
+        for name, arr in targets.items():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+    @pytest.mark.parametrize("with_state", [False, True])
     def test_tensor_the_model_lacks_rejected_by_name(self, tmp_path, with_state):
         path = str(tmp_path / "x.ckpt")
         model = build_model(micro(), seed=0)
@@ -618,6 +648,11 @@ class TestTrainLoop:
         ds[0] = SegSample(image=np.full_like(ds[0].image, np.nan), label=ds[0].label)
         with pytest.raises(NumericsError, match="iteration 0"):
             train(micro(num_classes=2), tcfg(max_iters=1), ds)
+
+    def test_overflowing_step_aborts_naming_iteration_and_parameter(self):
+        ds = make_synth_dataset(2, 64, 64, 2, seed=6)
+        with pytest.raises(NumericsError, match="iteration 0: adamw_step on 'stage1/patch/proj/weight'"):
+            train(micro(num_classes=2), tcfg(base_lr=1e300, max_iters=1), ds)
 
     def test_wraparound_batching(self):
         ds = make_synth_dataset(3, 64, 64, 2, seed=5)  # smaller than iters*batch
