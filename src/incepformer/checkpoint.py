@@ -28,6 +28,8 @@ from .errors import CheckpointError, CheckpointMagicError, CheckpointShapeError,
 
 MAGIC = b"IPTCKPT1"
 MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
+CHUNK_BYTES = 1 << 20  # what a restore reads at a time of a payload it does not keep
+CHUNK_VALUES = CHUNK_BYTES // 4
 
 
 @contextmanager
@@ -93,67 +95,126 @@ def _read(fh, n: int) -> bytes:
     return buf
 
 
+def _read_into(fh, out: np.ndarray):
+    """Fill contiguous `out` with the next bytes of `fh`."""
+    view = out.reshape(-1).view(np.uint8)
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            raise CheckpointTruncatedError(f"expected {len(view)} bytes, got {got}")
+        got += n
+
+
+def _check_finite(values: np.ndarray, name: str):
+    """Raise CheckpointError naming `name` if flat `values` hold NaN or +-inf,
+    testing CHUNK_VALUES at a time so the bool temporary stays small."""
+    for start in range(0, values.size, CHUNK_VALUES):
+        if not np.isfinite(values[start:start + CHUNK_VALUES]).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
+
+
+def _scan(fh) -> tuple[dict[str, tuple[tuple[int, ...], int]], int]:
+    """Read the header of every tensor, seeking over the payloads.  Returns
+    {name: (shape, payload offset)} in file order, and the iteration.
+
+    Rejects everything wrong with the file itself: bad magic, a non-UTF-8
+    name, rank above MAX_RANK, a payload larger than what is left of the
+    file, a name that repeats an earlier one (named), and bytes after the
+    iteration counter (counted).  No payload byte is read."""
+    size = os.fstat(fh.fileno()).st_size
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise CheckpointMagicError(f"bad magic {magic!r}; not a checkpoint file")
+    (count,) = struct.unpack("<I", _read(fh, 4))
+    records: dict[str, tuple[tuple[int, ...], int]] = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack("<H", _read(fh, 2))
+        try:
+            name = _read(fh, nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not valid UTF-8") from None
+        (rank,) = struct.unpack("<B", _read(fh, 1))
+        if rank > MAX_RANK:
+            raise CheckpointShapeError(f"tensor {name!r} declares rank {rank} > {MAX_RANK}")
+        dims = tuple(struct.unpack("<I", _read(fh, 4))[0] for _ in range(rank))
+        nbytes = 4 * math.prod(dims)
+        offset = fh.tell()
+        if nbytes > size - offset:
+            raise CheckpointTruncatedError(
+                f"tensor {name!r} declares {nbytes} payload bytes, "
+                f"only {size - offset} left in the file")
+        if name in records:
+            raise CheckpointError(f"tensor {name!r} appears more than once")
+        records[name] = (dims, offset)
+        fh.seek(nbytes, os.SEEK_CUR)
+    (iteration,) = struct.unpack("<Q", _read(fh, 8))
+    if fh.tell() != size:
+        raise CheckpointError(f"{size - fh.tell()} trailing bytes after the iteration counter")
+    return records, iteration
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
-    """Read a checkpoint.  A tensor holding NaN or +-inf, or one whose name
-    repeats an earlier one, raises a CheckpointError that names it; bytes
-    after the iteration counter raise a CheckpointError that counts them."""
+    """Read every tensor of a checkpoint.  The file is rejected as `_scan`
+    rejects it, before any payload is read; then a tensor holding NaN or
+    +-inf raises a CheckpointError that names it."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointMagicError(f"bad magic {magic!r}; not a checkpoint file")
-        (count,) = struct.unpack("<I", _read(fh, 4))
+        records, iteration = _scan(fh)
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read(fh, 2))
-            try:
-                name = _read(fh, nlen).decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError("tensor name is not valid UTF-8") from None
-            (rank,) = struct.unpack("<B", _read(fh, 1))
-            if rank > MAX_RANK:
-                raise CheckpointShapeError(f"tensor {name!r} declares rank {rank} > {MAX_RANK}")
-            dims = [struct.unpack("<I", _read(fh, 4))[0] for _ in range(rank)]
-            nbytes = 4 * math.prod(dims)
-            if nbytes > size - fh.tell():
-                # Checked before reading, so hostile dims cannot force a huge allocation.
-                raise CheckpointTruncatedError(
-                    f"tensor {name!r} declares {nbytes} payload bytes, "
-                    f"only {size - fh.tell()} left in the file")
-            payload = _read(fh, nbytes)
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"tensor {name!r} holds non-finite values")
-            if name in tensors:
-                raise CheckpointError(f"tensor {name!r} appears more than once")
+        for name, (dims, offset) in records.items():
+            arr = np.empty(dims, dtype="<f4")
+            fh.seek(offset)
+            _read_into(fh, arr)
+            _check_finite(arr.reshape(-1), name)
             tensors[name] = arr
-        (iteration,) = struct.unpack("<Q", _read(fh, 8))
-        if fh.tell() != size:
-            raise CheckpointError(f"{size - fh.tell()} trailing bytes after the iteration counter")
     return tensors, iteration
 
 
-def apply_tensors(targets: dict[str, np.ndarray], loaded: dict[str, np.ndarray], skipped):
-    """Copy loaded arrays into target arrays in place, checking names/shapes.
+def restore_checkpoint(path: str, targets: dict[str, np.ndarray], skipped) -> int:
+    """Copy a checkpoint's tensors into the `targets` arrays in place and
+    return its iteration.  Every tensor of the file must be a target or in
+    `skipped`, whose payloads are checked but not kept.
 
-    Every name and shape is checked before the first copy, so a rejected
-    restore leaves every target as it was.  A loaded name that is neither a
-    target nor in `skipped` raises CheckpointShapeError naming the first
-    one; so does a target that is missing from `loaded` or whose shape
-    differs, the first in the targets' own (model) order, so the mismatch
-    reported is deterministic.
-    """
-    extra = next((name for name in loaded if name not in targets and name not in skipped), None)
-    if extra is not None:
-        raise CheckpointShapeError(f"checkpoint tensor {extra!r} has no counterpart in the model")
+    The file is rejected as `_scan` rejects it.  Then, before any payload
+    is read, a file name that is neither a target nor skipped raises
+    CheckpointShapeError naming the first one; so does a target that is
+    missing from the file or whose shape differs, the first in the targets'
+    own (model) order, so the mismatch reported is deterministic.  Then the
+    payloads are read in file order: the targets' into one float32 staging
+    buffer, the skipped ones CHUNK_BYTES at a time, and the first holding
+    NaN or +-inf raises a CheckpointError that names it.  Only then is the
+    staging buffer copied into the targets, so a rejected restore leaves
+    every target as it was, and what it holds beyond the targets' own
+    arrays is their float32 copy and one chunk."""
+    with open(path, "rb") as fh:
+        records, iteration = _scan(fh)
+        extra = next((name for name in records if name not in targets and name not in skipped), None)
+        if extra is not None:
+            raise CheckpointShapeError(f"checkpoint tensor {extra!r} has no counterpart in the model")
+        for name, dst in targets.items():
+            if name not in records:
+                raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")
+            if records[name][0] != dst.shape:
+                raise CheckpointShapeError(
+                    f"tensor {name!r} has shape {records[name][0]} in checkpoint, "
+                    f"expected {dst.shape}"
+                )
+        sizes = [dst.size for dst in targets.values()]
+        slots = dict(zip(targets, np.split(np.empty(sum(sizes), dtype="<f4"), np.cumsum(sizes)[:-1])))
+        largest = max((math.prod(dims) for name, (dims, _) in records.items() if name not in targets), default=0)
+        chunk = np.empty(min(CHUNK_VALUES, largest), dtype="<f4")
+        for name, (dims, offset) in records.items():
+            fh.seek(offset)
+            if name in slots:
+                _read_into(fh, slots[name])
+                _check_finite(slots[name], name)
+                continue
+            left = math.prod(dims)
+            while left:
+                part = chunk[:min(left, chunk.size)]
+                _read_into(fh, part)
+                _check_finite(part, name)
+                left -= part.size
     for name, dst in targets.items():
-        if name not in loaded:
-            raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")
-        src = loaded[name]
-        if tuple(src.shape) != tuple(dst.shape):
-            raise CheckpointShapeError(
-                f"tensor {name!r} has shape {tuple(src.shape)} in checkpoint, "
-                f"expected {tuple(dst.shape)}"
-            )
-    for name, dst in targets.items():
-        dst[...] = loaded[name].astype(dst.dtype, copy=False)
+        dst[...] = slots[name].reshape(dst.shape)
+    return iteration

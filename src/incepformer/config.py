@@ -28,6 +28,10 @@ MAX_DEPTH = 1 << 10
 # The longest input side: 4x the 2048 width of the widest documented input,
 # checked before any image, label or activation of that size is allocated.
 MAX_INPUT_SIDE = 1 << 13
+# The longest model config file, in characters: far above any real config
+# (a preset dumps to under 1 KB), and read no further, so a device or a
+# huge file is rejected without being read whole.
+MAX_CONFIG_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,14 +199,17 @@ def load_model_config(path_or_name: str) -> ModelConfig:
     """Resolve a preset name, or parse a JSON config file.
 
     JSON syntax errors report line/column; semantic errors name the field.
+    A file longer than MAX_CONFIG_CHARS raises ConfigError.
     """
     if path_or_name in PRESETS:
         return PRESETS[path_or_name]()
     try:
         with open(path_or_name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(MAX_CONFIG_CHARS + 1)
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read model config {path_or_name!r}: {e}") from e
+    if len(text) > MAX_CONFIG_CHARS:
+        raise ConfigError(f"{path_or_name}: longer than {MAX_CONFIG_CHARS} characters; not a model config")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import apply_tensors, load_checkpoint, save_checkpoint
+from .checkpoint import restore_checkpoint, save_checkpoint
 from .config import MAX_INPUT_SIDE, ModelConfig, check_input_size
 from .data import SegSample, augment
 from .errors import ConfigError, ContractError, NumericsError
@@ -228,13 +228,14 @@ def load_training_checkpoint(path: str, model: IncepFormer,
     """Restore parameters/buffers (and moments when `state` is given);
     returns the stored iteration counter.  A checkpoint tensor that is not
     in `training_state_tensors(model, state)` raises CheckpointShapeError,
-    except the moments of the model's parameters when `state` is None; so
-    does a missing tensor or a shape mismatch.  Any rejection comes before
-    the first copy, and leaves the model and `state` as they were."""
-    loaded, iteration = load_checkpoint(path)
+    except the moments of the model's parameters when `state` is None,
+    which are checked but not read into memory whole; so does a missing
+    tensor or a shape mismatch.  Any rejection comes before the first copy,
+    and leaves the model and `state` as they were (see
+    `restore_checkpoint`)."""
     moments = () if state is not None else {
         f"{name}/{m}" for name in model.parameter_store().names() for m in ("m1", "m2")}
-    apply_tensors(training_state_tensors(model, state), loaded, moments)
+    iteration = restore_checkpoint(path, training_state_tensors(model, state), moments)
     if state is not None:
         state.step = iteration
     return iteration

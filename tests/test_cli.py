@@ -19,7 +19,7 @@ from incepformer import cli as cli_mod, tensor as T
 from incepformer.analysis import count_params, estimate_flops
 from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from incepformer.cli import _build_parser, run_cli
-from incepformer.config import dumps, ipt_s, ipt_t, load_model_config, micro
+from incepformer.config import MAX_CONFIG_CHARS, dumps, ipt_s, ipt_t, load_model_config, micro
 from incepformer.errors import ConfigError, ContractError
 from incepformer.model import build_model
 from incepformer.netpbm import HEADER_BYTES, read_image, write_pgm, write_ppm
@@ -500,6 +500,15 @@ class TestExitCodes:
 
     def test_missing_config_file(self):
         assert run_cli(["analyze", "--model", "/nonexistent/cfg.json"]) == 3
+
+    @pytest.mark.parametrize("over,code", [(0, 0), (1, 3)], ids=["at-cap", "one-over"])
+    def test_config_longer_than_cap_rejected(self, tmp_path, capsys, over, code):
+        # TINY_CONFIG padded with spaces to the cap, then one character past it.
+        text = json.dumps(TINY_CONFIG)
+        path = tmp_path / "long.json"
+        path.write_text(text + " " * (MAX_CONFIG_CHARS - len(text) + over))
+        assert run_cli(["analyze", "--model", str(path)]) == code
+        assert ("longer than" in capsys.readouterr().err) == bool(over)
 
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "micro", "--iters", "1", "--crop=-64x-64"],

@@ -1,10 +1,12 @@
 """Property tests: arbitrary bytes or JSON values fed to the external-input
 readers (checkpoints, netpbm images, model configs) raise only
-IncepFormerError or OSError subclasses, never a raw Python exception."""
+IncepFormerError or OSError subclasses, never a raw Python exception, and a
+rejected checkpoint restore leaves the model as it was."""
 
 import itertools
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 from incepformer.checkpoint import MAGIC, load_checkpoint
 from incepformer.config import _MODEL_FIELDS, _STAGE_FIELDS, from_dict, micro, to_dict
 from incepformer.errors import IncepFormerError
+from incepformer.model import build_model
 from incepformer.netpbm import read_image
+from incepformer.train import load_training_checkpoint, training_state_tensors
 
-# Bounded so the three tests together add a few seconds to the suite.
+# Bounded so the four tests together add a few seconds to the suite.
 EXAMPLES = settings(max_examples=300, deadline=None)
 
 
@@ -59,6 +63,25 @@ def checkpoint_files(draw):
 @given(checkpoint_files())
 def test_load_checkpoint_raises_only_typed_errors(workdir, payload):
     read_or_typed_error(load_checkpoint, workdir, ".ckpt", payload)
+
+
+@pytest.fixture(scope="module")
+def micro_model():
+    model = build_model(micro(), seed=0)
+    return model, {name: arr.copy() for name, arr in training_state_tensors(model).items()}
+
+
+@EXAMPLES
+@given(checkpoint_files())
+def test_restore_raises_only_typed_errors_and_copies_nothing(workdir, micro_model, payload):
+    model, before = micro_model
+    path = workdir / f"{next(_NAMES)}.ckpt"
+    path.write_bytes(payload)
+    try:
+        load_training_checkpoint(str(path), model)
+    except (IncepFormerError, OSError):
+        for name, arr in training_state_tensors(model).items():
+            assert np.array_equal(arr, before[name]), name
 
 
 @st.composite

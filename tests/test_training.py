@@ -11,7 +11,7 @@ import pytest
 from oracles import naive_miou, palette_loops
 
 from incepformer import tensor as T
-from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from incepformer.checkpoint import CHUNK_BYTES, MAGIC, load_checkpoint, restore_checkpoint, save_checkpoint
 from incepformer.config import micro
 from incepformer.data import (
     NOISE_AMPLITUDE,
@@ -50,6 +50,13 @@ from incepformer.train import (
 
 # 28 bytes: magic, one tensor named "w" of rank 3 declaring dims (2^32 - 1)^3.
 HOSTILE_CKPT = MAGIC + struct.pack("<IHcB3I", 1, 1, b"w", 3, *[2**32 - 1] * 3)
+
+
+def payload_offset(raw: bytes, name: str, rank: int) -> int:
+    """Where tensor `name`'s payload starts in checkpoint bytes `raw`: after
+    its length-prefixed name, its rank byte and `rank` u32 dims."""
+    key = struct.pack("<H", len(name)) + name.encode()
+    return raw.index(key) + len(key) + 1 + 4 * rank
 
 
 def tcfg(**kw):
@@ -618,6 +625,64 @@ class TestCheckpoint:
             np.testing.assert_array_equal(b1, b2)
         for name in res.state.m:
             np.testing.assert_array_equal(res.state.m[name], state2.m[name])
+
+    @pytest.mark.parametrize("fault", ["nan", "cut"])
+    def test_rejected_skipped_moment_changes_nothing(self, tmp_path, fault):
+        # Without a state the moments are checked, not kept: a NaN in one, or
+        # a file cut inside one, is rejected naming it before any copy.
+        model = build_model(micro(), seed=0)
+        state = init_optim_state(model.parameter_store())
+        names = model.parameter_store().names()
+        path = tmp_path / "m.ckpt"
+        save_training_checkpoint(str(path), model, state, 3)
+        raw = path.read_bytes()
+        moment = f"{names[len(names) // 2]}/m1" if fault == "nan" else f"{names[-1]}/m2"
+        at = payload_offset(raw, moment, state.m[moment[:-3]].ndim)
+        if fault == "nan":
+            path.write_bytes(raw[:at] + np.array(np.nan, dtype="<f4").tobytes() + raw[at + 4:])
+            error, match = CheckpointError, f"'{moment}' holds non-finite"
+        else:
+            path.write_bytes(raw[:at + 4])
+            error, match = CheckpointTruncatedError, f"'{moment}' declares"
+        other = build_model(micro(), seed=1)
+        before = {name: arr.copy() for name, arr in training_state_tensors(other).items()}
+        with pytest.raises(error, match=match):
+            load_training_checkpoint(str(path), other)
+        for name, arr in training_state_tensors(other).items():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+    def test_restore_holds_the_targets_and_one_chunk(self, tmp_path):
+        # A 4 MiB target beside two 4 MiB tensors that are checked, not kept:
+        # the restore traces the target's staging copy and one chunk, where
+        # reading every tensor whole would trace 12 MiB.
+        n = 1 << 20
+        rng = np.random.default_rng(0)
+        tensors = {name: rng.standard_normal(n).astype(np.float32) for name in ("w", "w/m1", "w/m2")}
+        path = str(tmp_path / "big.ckpt")
+        save_checkpoint(path, tensors, 5)
+        target = {"w": np.zeros(n, dtype=np.float32)}
+        tracemalloc.start()
+        try:
+            assert restore_checkpoint(path, target, {"w/m1", "w/m2"}) == 5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(target["w"], tensors["w"])
+        assert peak < 4 * n + CHUNK_BYTES + (1 << 19), f"peak {peak / 2**20:.2f} MiB"
+
+    def test_small_restore_allocates_no_full_chunk(self, tmp_path):
+        # micro's whole training checkpoint is smaller than one chunk, so the
+        # chunk is sized by its largest moment instead.
+        path = str(tmp_path / "m.ckpt")
+        model = build_model(micro(), seed=0)
+        save_training_checkpoint(path, model, init_optim_state(model.parameter_store()), 1)
+        tracemalloc.start()
+        try:
+            load_training_checkpoint(path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_BYTES // 2, f"peak {peak / 2**10:.0f} KiB"
 
 
 class TestTrainLoop:
