@@ -28,7 +28,9 @@ from .errors import CheckpointError, CheckpointMagicError, CheckpointShapeError,
 
 MAGIC = b"IPTCKPT1"
 MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
-CHUNK_BYTES = 1 << 20  # what a restore reads at a time of a payload it does not keep
+# A restore reads a payload it does not keep this many bytes at a time, and
+# every finiteness check tests this many bytes of values at a time.
+CHUNK_BYTES = 1 << 20
 CHUNK_VALUES = CHUNK_BYTES // 4
 
 
@@ -107,8 +109,9 @@ def _read_into(fh, out: np.ndarray):
 
 
 def _check_finite(values: np.ndarray, name: str):
-    """Raise CheckpointError naming `name` if flat `values` hold NaN or +-inf,
-    testing CHUNK_VALUES at a time so the bool temporary stays small."""
+    """Raise CheckpointError naming `name` if contiguous `values` hold NaN or
+    +-inf, testing CHUNK_VALUES at a time so the bool temporary stays small."""
+    values = values.reshape(-1)
     for start in range(0, values.size, CHUNK_VALUES):
         if not np.isfinite(values[start:start + CHUNK_VALUES]).all():
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
@@ -141,6 +144,7 @@ def _scan(fh) -> tuple[dict[str, tuple[tuple[int, ...], int]], int]:
         nbytes = 4 * math.prod(dims)
         offset = fh.tell()
         if nbytes > size - offset:
+            # Checked before any payload is read, so hostile dims cannot force a huge allocation.
             raise CheckpointTruncatedError(
                 f"tensor {name!r} declares {nbytes} payload bytes, "
                 f"only {size - offset} left in the file")
@@ -165,7 +169,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
             arr = np.empty(dims, dtype="<f4")
             fh.seek(offset)
             _read_into(fh, arr)
-            _check_finite(arr.reshape(-1), name)
+            _check_finite(arr, name)
             tensors[name] = arr
     return tensors, iteration
 

@@ -115,8 +115,6 @@ def notes(sets: dict) -> str:
 
 
 def hardware(machine: dict) -> str:
-    if not machine:
-        return "unknown"
     return (f"{machine['nproc']}-core {machine['cpu']}, Python {machine['python']}, numpy {machine['numpy']} "
             f"with {machine['blas']} {machine['blas_version']} ({machine['blas_threads']} threads)")
 
@@ -153,7 +151,6 @@ def main(argv=None) -> int:
         metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
         seeds = range(args.seed, args.seed + args.pairs)
         runs = {w: {} for w in workloads}
-        machine = {}
         for i, seed in enumerate(seeds):
             for w in workloads:
                 recs = {}
