@@ -28,8 +28,7 @@ from .errors import CheckpointError, CheckpointMagicError, CheckpointShapeError,
 
 MAGIC = b"IPTCKPT1"
 MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
-# A restore reads a payload it does not keep this many bytes at a time, and
-# every finiteness check tests this many bytes of values at a time.
+# A restore reads a payload it does not keep this many bytes at a time.
 CHUNK_BYTES = 1 << 20
 CHUNK_VALUES = CHUNK_BYTES // 4
 
@@ -109,12 +108,9 @@ def _read_into(fh, out: np.ndarray):
 
 
 def _check_finite(values: np.ndarray, name: str):
-    """Raise CheckpointError naming `name` if contiguous `values` hold NaN or
-    +-inf, testing CHUNK_VALUES at a time so the bool temporary stays small."""
-    values = values.reshape(-1)
-    for start in range(0, values.size, CHUNK_VALUES):
-        if not np.isfinite(values[start:start + CHUNK_VALUES]).all():
-            raise CheckpointError(f"tensor {name!r} holds non-finite values")
+    """Raise CheckpointError naming `name` if `values` hold NaN or +-inf."""
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"tensor {name!r} holds non-finite values")
 
 
 def _scan(fh) -> tuple[dict[str, tuple[tuple[int, ...], int]], int]:
@@ -185,11 +181,13 @@ def restore_checkpoint(path: str, targets: dict[str, np.ndarray], skipped) -> in
     missing from the file or whose shape differs, the first in the targets'
     own (model) order, so the mismatch reported is deterministic.  Then the
     payloads are read in file order: the targets' into one float32 staging
-    buffer, the skipped ones CHUNK_BYTES at a time, and the first holding
-    NaN or +-inf raises a CheckpointError that names it.  Only then is the
-    staging buffer copied into the targets, so a rejected restore leaves
-    every target as it was, and what it holds beyond the targets' own
-    arrays is their float32 copy and one chunk."""
+    buffer, the skipped ones CHUNK_BYTES at a time through a buffer made
+    when the first of them is read, and the first holding NaN or +-inf
+    raises a CheckpointError that names it.  Only then is the staging
+    buffer copied into the targets, so a rejected restore leaves every
+    target as it was.  What it holds beyond the targets' own arrays is
+    their float32 copy, one chunk, and the bool mask of the one tensor (or
+    chunk) being checked."""
     with open(path, "rb") as fh:
         records, iteration = _scan(fh)
         extra = next((name for name in records if name not in targets and name not in skipped), None)
@@ -206,13 +204,15 @@ def restore_checkpoint(path: str, targets: dict[str, np.ndarray], skipped) -> in
         sizes = [dst.size for dst in targets.values()]
         slots = dict(zip(targets, np.split(np.empty(sum(sizes), dtype="<f4"), np.cumsum(sizes)[:-1])))
         largest = max((math.prod(dims) for name, (dims, _) in records.items() if name not in targets), default=0)
-        chunk = np.empty(min(CHUNK_VALUES, largest), dtype="<f4")
+        chunk = None
         for name, (dims, offset) in records.items():
             fh.seek(offset)
             if name in slots:
                 _read_into(fh, slots[name])
                 _check_finite(slots[name], name)
                 continue
+            if chunk is None:
+                chunk = np.empty(min(CHUNK_VALUES, largest), dtype="<f4")
             left = math.prod(dims)
             while left:
                 part = chunk[:min(left, chunk.size)]

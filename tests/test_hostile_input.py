@@ -4,6 +4,7 @@ IncepFormerError or OSError subclasses, never a raw Python exception, and a
 rejected checkpoint restore leaves the model as it was."""
 
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -11,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incepformer.checkpoint import MAGIC, load_checkpoint
+from incepformer.checkpoint import MAGIC, _scan, load_checkpoint
 from incepformer.config import _MODEL_FIELDS, _STAGE_FIELDS, from_dict, micro, to_dict
 from incepformer.errors import IncepFormerError
 from incepformer.model import build_model
 from incepformer.netpbm import read_image
-from incepformer.train import load_training_checkpoint, training_state_tensors
+from incepformer.train import (init_optim_state, load_training_checkpoint, save_training_checkpoint,
+                               training_state_tensors)
 
-# Bounded so the four tests together add a few seconds to the suite.
+# Bounded so the six tests together add a few seconds to the suite.
 EXAMPLES = settings(max_examples=300, deadline=None)
 
 
@@ -67,21 +69,94 @@ def test_load_checkpoint_raises_only_typed_errors(workdir, payload):
 
 @pytest.fixture(scope="module")
 def micro_model():
+    """A micro model and zero optimizer state, with a copy of every array."""
     model = build_model(micro(), seed=0)
-    return model, {name: arr.copy() for name, arr in training_state_tensors(model).items()}
+    state = init_optim_state(model.parameter_store())
+    return model, state, {name: arr.copy() for name, arr in training_state_tensors(model, state).items()}
+
+
+def restore_or_typed_error(path, micro_model, with_state: bool):
+    """Restore `path` into the micro model (with its optimizer state or
+    without).  A rejection must leave every array and the step counter as
+    they were; a restore that succeeds is undone for the next example."""
+    model, state, before = micro_model
+    live = training_state_tensors(model, state)
+    try:
+        load_training_checkpoint(str(path), model, state if with_state else None)
+    except (IncepFormerError, OSError):
+        for name, arr in live.items():
+            assert np.array_equal(arr, before[name]), name
+        assert state.step == 0
+    else:
+        for name, arr in live.items():
+            arr[...] = before[name]
+        state.step = 0
 
 
 @EXAMPLES
-@given(checkpoint_files())
-def test_restore_raises_only_typed_errors_and_copies_nothing(workdir, micro_model, payload):
-    model, before = micro_model
+@given(checkpoint_files(), st.booleans())
+def test_restore_raises_only_typed_errors_and_copies_nothing(workdir, micro_model, payload, with_state):
     path = workdir / f"{next(_NAMES)}.ckpt"
     path.write_bytes(payload)
-    try:
-        load_training_checkpoint(str(path), model)
-    except (IncepFormerError, OSError):
-        for name, arr in training_state_tensors(model).items():
-            assert np.array_equal(arr, before[name]), name
+    restore_or_typed_error(path, micro_model, with_state)
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(workdir):
+    """The bytes of a micro training checkpoint in which every parameter,
+    buffer and moment differs from `micro_model`'s, and the (offset, size)
+    of each payload in it."""
+    model = build_model(micro(), seed=1)
+    state = init_optim_state(model.parameter_store())
+    rng = np.random.default_rng(0)
+    for name, arr in training_state_tensors(model, state).items():
+        if "/m" in name or name in dict(model.named_buffers()):
+            arr[...] = rng.random(arr.shape)
+    path = workdir / "micro.ckpt"
+    save_training_checkpoint(str(path), model, state, 7)
+    with open(path, "rb") as fh:
+        records, _ = _scan(fh)
+    return path.read_bytes(), [(offset, 4 * math.prod(dims)) for dims, offset in records.values()]
+
+
+# Edits of a real checkpoint: cut it, xor one byte, append bytes, or write a
+# non-finite float32 over one value of one payload (tensor and value taken
+# modulo the counts).  Positions are taken modulo the file's length.
+_EDITS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 1 << 17)),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 17), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("nonfinite"), st.integers(0, 1 << 10), st.integers(0, 1 << 12),
+              st.sampled_from([np.nan, np.inf, -np.inf])),
+)
+
+
+def apply_edits(raw: bytes, spans, edits) -> bytes:
+    data = bytearray(raw)
+    for kind, *args in edits:
+        if kind == "cut":
+            del data[args[0] % (len(data) + 1):]
+        elif kind == "flip" and data:
+            data[args[0] % len(data)] ^= args[1]
+        elif kind == "append":
+            data += args[0]
+        elif kind == "nonfinite":
+            offset, size = spans[args[0] % len(spans)]
+            at = offset + 4 * (args[1] % (size // 4))
+            data[at:at + 4] = np.array(args[2], dtype="<f4").tobytes()
+    return bytes(data)
+
+
+@EXAMPLES
+@given(st.lists(_EDITS, min_size=1, max_size=3), st.booleans())
+def test_restore_of_edited_checkpoint_raises_only_typed_errors_and_copies_nothing(
+        workdir, micro_model, micro_checkpoint, edits, with_state):
+    # Unlike checkpoint_files(), these files mostly pass the scan and the
+    # name and shape checks, so the payload reads and their rejections run.
+    raw, spans = micro_checkpoint
+    path = workdir / f"{next(_NAMES)}.ckpt"
+    path.write_bytes(apply_edits(raw, spans, edits))
+    restore_or_typed_error(path, micro_model, with_state)
 
 
 @st.composite

@@ -5,8 +5,7 @@ results as a BENCH_*.json file.
 Run from the root of a checkout:
 
     python3 tools/pairs.py PARENT CHANGE --out BENCH_N.json \\
-        [--pairs 10] [--seed 3000] [--seconds S] [--workloads W,...] \\
-        [--traced-metrics M,...]
+        [--pairs 10] [--seed 3000] [--seconds S] [--workloads W,...]
 
 Each revision is extracted with `git archive` into a fresh temporary
 directory, so neither side runs from a tree that built, tested or
@@ -14,7 +13,8 @@ benchmarked anything before.  Pair i runs at seed SEED+i: for each workload
 in turn, both sides run `python3 perfbench/run.py --workload W --seed S
 --seconds S --trace 0`, the parent first on even i and the change first on
 odd i, and the last line of its standard output is kept.  Then each side
-runs one `--trace 1` run per workload at seed SEED+100.
+runs one `--trace 1` run per workload at seed SEED+100, and every metric
+of its record goes into `traced`.
 
 The output has the keys `description`, `hardware`, `claim`, `sets`,
 `traced` and `notes`.  For every end-to-end metric of BENCHMARK.json,
@@ -128,7 +128,6 @@ def _parse(argv):
     p.add_argument("--seed", type=int, default=0, help="seed of pair 0; pair i runs at seed + i")
     p.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     p.add_argument("--workloads", help="comma-separated; default: the workloads of BENCHMARK.json")
-    p.add_argument("--traced-metrics", help="comma-separated metrics kept from the traced runs; default: all")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -160,13 +159,12 @@ def main(argv=None) -> int:
                           + " ".join(f"{m}={recs[side]['metrics'][m]['value']:.6g}" for m, _ in metrics),
                           file=sys.stderr, flush=True)
                 runs[w][seed] = (recs["parent"], recs["change"])
-        keep = args.traced_metrics.split(",") if args.traced_metrics else None
         traced = []
         for side in SIDES:
             for w in workloads:
                 rec, _ = run_perfbench(trees[side], w, args.seed + TRACE_SEED_OFFSET, seconds, 1)
                 entry = {"side": side, "workload": w, "correct": rec["correct"], "failed": rec["failed"]}
-                entry.update({m: v["value"] for m, v in rec["metrics"].items() if keep is None or m in keep})
+                entry.update({m: v["value"] for m, v in rec["metrics"].items()})
                 traced.append(entry)
     finally:
         shutil.rmtree(work, ignore_errors=True)
