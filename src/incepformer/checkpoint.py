@@ -28,6 +28,7 @@ from .errors import CheckpointError, CheckpointMagicError, CheckpointShapeError,
 
 MAGIC = b"IPTCKPT1"
 MAX_RANK = 32  # the most dims numpy 1.x arrays can have (numpy 2: 64)
+MAX_NAME_BYTES = 0xFFFF  # a name's length is a u16
 # A restore reads a payload it does not keep this many bytes at a time.
 CHUNK_BYTES = 1 << 20
 CHUNK_VALUES = CHUNK_BYTES // 4
@@ -68,9 +69,17 @@ def atomic_write(path: str):
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], iteration: int):
     """Write `tensors` to `path` atomically (see `atomic_write`).  A tensor
-    whose float32 payload holds NaN or +-inf (a float64 value beyond the
-    float32 range included), which `load_checkpoint` would reject, raises a
-    CheckpointError naming it and `path`, and `path` keeps its content."""
+    that `load_checkpoint` would reject raises a CheckpointError naming it
+    and `path`, and `path` keeps its content: one of rank above MAX_RANK or
+    with a name over MAX_NAME_BYTES UTF-8 bytes (checked before anything is
+    written), or one whose float32 payload holds NaN or +-inf (a float64
+    value beyond the float32 range included)."""
+    for name, arr in tensors.items():
+        if arr.ndim > MAX_RANK:
+            raise CheckpointError(f"tensor {name!r} has rank {arr.ndim} > {MAX_RANK}; not writing {path!r}")
+        if len(name.encode("utf-8")) > MAX_NAME_BYTES:
+            raise CheckpointError(f"tensor name {name[:40]!r}... is longer than {MAX_NAME_BYTES} "
+                                  f"UTF-8 bytes; not writing {path!r}")
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(tensors)))

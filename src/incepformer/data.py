@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_INPUT_SIDE
 from .errors import ConfigError, ContractError
 from .tensor import interp_matrix
 
@@ -124,7 +125,9 @@ def augment(sample: SegSample, cfg, rng: np.random.Generator) -> SegSample:
     """Random scale, horizontal flip and crop, in a fixed draw order.
 
     The output always has cfg.crop dims; short sides are padded with zero
-    image values and cfg.ignore_index labels before cropping.
+    image values and cfg.ignore_index labels before cropping.  A drawn
+    scale that takes a side past MAX_INPUT_SIDE raises ConfigError before
+    anything is resized.
     """
     ch, cw = cfg.crop
     lo, hi = cfg.scale_range
@@ -133,6 +136,9 @@ def augment(sample: SegSample, cfg, rng: np.random.Generator) -> SegSample:
 
     image, label = sample.image, sample.label
     h, w = label.shape
+    if max(h, w) * s > MAX_INPUT_SIDE + 0.5:  # exactly where round() passes MAX_INPUT_SIDE
+        raise ConfigError(f"scale {s:g} takes a {h}x{w} sample past {MAX_INPUT_SIDE} pixels a side; "
+                          f"lower scale_range, got {cfg.scale_range}")
     nh, nw = max(1, round(h * s)), max(1, round(w * s))
     if (nh, nw) != (h, w):
         image = resize_image(image, nh, nw)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -104,30 +104,15 @@ class Module:
         return ParameterStore(self.named_parameters())
 
 
-class ParameterStore:
-    """Ordered, uniquely named map of the learnable tensors of a model."""
-
-    def __init__(self, named: Iterable[tuple[str, Tensor]]):
-        self._items: dict[str, Tensor] = {}
-        for name, t in named:
-            if name in self._items:
-                raise ConfigError(f"duplicate parameter name {name!r}")
-            self._items[name] = t
-
-    def items(self):
-        return self._items.items()
+class ParameterStore(dict):
+    """The learnable tensors of a model by path, in parameter order.  Paths
+    join attribute names with "/", so no two are the same."""
 
     def names(self):
-        return list(self._items)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._items[name]
-
-    def __len__(self) -> int:
-        return len(self._items)
+        return list(self)
 
     def total_params(self) -> int:
-        return sum(t.size for t in self._items.values())
+        return sum(t.size for t in self.values())
 
 
 class Conv2d(Module):

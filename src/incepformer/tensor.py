@@ -201,18 +201,7 @@ def active_tape() -> Optional[GradTape]:
 
 
 def _check_finite(data: np.ndarray, op: str):
-    """Raise NumericsError naming `op` if contiguous `data` holds NaN or +-inf.
-
-    One BLAS dot of `data` with itself decides the common case without a
-    bool temporary: the squares are never negative, so a NaN or an inf
-    anywhere makes the dot NaN or inf (no inf - inf can arise).  Finite
-    values whose squares overflow (above about 1e19 in f32) fail it too, so
-    only where it fails does the exact `np.isfinite` test run, and what
-    raises is that test alone."""
-    flat = data.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if math.isfinite(np.dot(flat, flat)):
-            return
+    """Raise NumericsError naming `op` if `data` holds NaN or +-inf."""
     if not np.isfinite(data).all():
         raise NumericsError(f"{op} produced non-finite values")
 
@@ -552,17 +541,14 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     is tiny * Lk and its row's sum is under Lk, so no output lies in
     (0, tiny).  Each entry moves by less than about Lk * tiny (9e-36 in f32
     at Lk = 768); rows whose shifted scores all stay above the floor are
-    bitwise the textbook expression.  The clamp pass runs only when some
-    shifted score lies below the floor: elsewhere it would change nothing,
-    so skipping it leaves the output bitwise the same.
+    bitwise the textbook expression.
     """
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for rank {x.ndim}")
     y = x.data - x.data.max(axis=axis, keepdims=True)
     tiny = np.finfo(y.dtype).tiny
     floor = y.dtype.type(math.log(tiny) + math.log(y.shape[axis]))
-    if y.min() < floor:
-        np.maximum(y, floor, out=y)
+    np.maximum(y, floor, out=y)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 

@@ -44,8 +44,8 @@ class TrainConfig:
 
     def validate(self):
         lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise ConfigError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
+        if not (0 < lo <= hi < math.inf):
+            raise ConfigError(f"scale_range must be finite with 0 < lo <= hi, got {self.scale_range}")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
         check_input_size(*self.crop, "crop")

@@ -386,9 +386,8 @@ class TestSoftmax:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         assert T.softmax(Tensor(x), axis=-1).data.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
-    # Blocks of scores with none below the clamp floor (the clamp pass is
-    # skipped) and with some (it runs): both are bitwise the always-clamped
-    # expression.
+    # Blocks of scores with none below the clamp floor and with some: both
+    # are bitwise the clamped expression written out step by step.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("spread,below", [(8.0, False), (1e3, True)])
     def test_bitwise_equals_always_clamped(self, dtype, spread, below):
@@ -656,8 +655,8 @@ class TestBlockRanges:
 @pytest.mark.filterwarnings("error")
 class TestAllFinite:
     """_check_finite raises NumericsError naming the op exactly when a value
-    is NaN or infinite, and warns of nothing: its overflowing dot is
-    guarded."""
+    is NaN or infinite, and warns of nothing, huge finite values
+    included."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf, 3e38, -3e38, 1e20])
@@ -665,9 +664,9 @@ class TestAllFinite:
                                           ((200_000,), (199_999,)), ((200_000,), (70_000,))])
     def test_planted_values(self, dtype, planted, shape, at):
         a = np.random.default_rng(5).standard_normal(shape).astype(dtype)
-        a.flat[0] = planted  # two copies: a sum of two 3e38 would overflow float32
+        a.flat[0] = planted  # two copies: the first value and the one at `at`
         a[at] = planted
-        if np.isfinite(planted):  # in f32 the squares overflow the check's dot
+        if np.isfinite(planted):  # huge but finite in both dtypes
             T._check_finite(a, "probe")
         else:
             with pytest.raises(NumericsError, match="probe produced non-finite"):

@@ -139,6 +139,25 @@ class TestAugment:
             augment(sample, cfg, np.random.default_rng(i))
         assert T._interp_matrix_cached.cache_info().currsize == 0
 
+    def test_scale_past_max_side_rejected_before_resize(self):
+        from incepformer.errors import ConfigError
+
+        cfg = tcfg(crop=(64, 64), scale_range=(1e300, 1e300))
+        sample = make_synth_dataset(1, 64, 64, 2, seed=2)[0]
+        with pytest.raises(ConfigError, match="scale 1e\\+300 takes a 64x64 sample past 8192"):
+            augment(sample, cfg, np.random.default_rng(0))
+
+    def test_scale_limit_is_where_a_rounded_side_passes_max(self, monkeypatch):
+        import incepformer.data as data_mod
+        from incepformer.errors import ConfigError
+
+        monkeypatch.setattr(data_mod, "MAX_INPUT_SIDE", 64)
+        sample = make_synth_dataset(1, 32, 32, 2, seed=2)[0]
+        out = augment(sample, tcfg(crop=(32, 32), scale_range=(2.015625, 2.015625)), np.random.default_rng(0))
+        assert out.image.shape == (3, 32, 32)  # 32 * 2.015625 = 64.5 rounds to 64
+        with pytest.raises(ConfigError, match="past 64 pixels"):
+            augment(sample, tcfg(crop=(32, 32), scale_range=(2.016, 2.016)), np.random.default_rng(0))
+
     def test_label_values_preserved_or_ignore(self):
         cfg = tcfg(crop=(32, 32), scale_range=(0.6, 1.7), flip_prob=0.5)
         sample = make_synth_dataset(1, 48, 48, 4, seed=4)[0]
@@ -462,6 +481,31 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
+    @pytest.mark.parametrize("name,shape,match", [
+        ("w", (1,) * 33, "'w' has rank 33 > 32"),
+        ("n" * 65536, (1,), "'n+'\\.\\.\\. is longer than 65535 UTF-8 bytes"),
+    ], ids=["rank-33", "name-65536-bytes"])
+    def test_unloadable_tensor_not_saved(self, tmp_path, name, shape, match):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), {"w": np.ones(3, dtype=np.float32)}, 1)
+        before = path.read_bytes()
+        tensors = {"a/w": np.ones(2, dtype=np.float32), name: np.ones(shape, dtype=np.float32)}
+        with pytest.raises(CheckpointError, match=f"{match}.*not writing {str(path)!r}"):
+            save_checkpoint(str(path), tensors, 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+    def test_largest_rank_and_name_round_trip(self, tmp_path):
+        # One past either limit is refused (above); at it, load reads back what save wrote.
+        tensors = {"w": np.full((1,) * 32, 2.5, dtype=np.float32), "\u00e9" * 32767 + "n": np.ones(2, dtype=np.float32)}
+        path = str(tmp_path / "x.ckpt")
+        save_checkpoint(path, tensors, iteration=3)
+        loaded, it = load_checkpoint(path)
+        assert it == 3 and list(loaded) == list(tensors)
+        for k in tensors:
+            assert loaded[k].shape == tensors[k].shape
+            np.testing.assert_array_equal(loaded[k], tensors[k])
+
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         tensors = {
@@ -507,7 +551,8 @@ class TestCheckpoint:
         path = tmp_path / "c.ckpt"
         save_checkpoint(str(path), {"w": np.ones(3, dtype=np.float32)}, 1)
         before = path.read_bytes()
-        # The second name cannot be encoded, so the save fails after "a" is written.
+        # The second name cannot be encoded, so the save fails while its names
+        # are checked, before any byte is written.
         bad = {"a": np.zeros(1000, dtype=np.float32), "\ud800": np.zeros(1, dtype=np.float32)}
         with pytest.raises(UnicodeEncodeError):
             save_checkpoint(str(path), bad, 2)
@@ -750,6 +795,14 @@ class TestTrainLoop:
 
         with pytest.raises(ConfigError, match=field):
             tcfg(**{field: value}).validate()
+
+    @pytest.mark.parametrize("scale_range", [(0.5, math.inf), (math.inf, math.inf), (0.5, math.nan),
+                                             (-math.inf, 1.0), (0.0, 1.0), (2.0, 1.0)])
+    def test_scale_range_finite_and_ordered(self, scale_range):
+        from incepformer.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="scale_range"):
+            tcfg(scale_range=scale_range).validate()
 
     def test_batch_pixels_bounded(self):
         from incepformer.config import MAX_INPUT_SIDE
