@@ -497,7 +497,8 @@ class TestCheckpoint:
 
     def test_largest_rank_and_name_round_trip(self, tmp_path):
         # One past either limit is refused (above); at it, load reads back what save wrote.
-        tensors = {"w": np.full((1,) * 32, 2.5, dtype=np.float32), "\u00e9" * 32767 + "n": np.ones(2, dtype=np.float32)}
+        tensors = {"w": np.full((1,) * 32, 2.5, dtype=np.float32),
+                   "\u00e9" * 32767 + "n": np.ones(2, dtype=np.float32)}  # 65535 UTF-8 bytes
         path = str(tmp_path / "x.ckpt")
         save_checkpoint(path, tensors, iteration=3)
         loaded, it = load_checkpoint(path)
