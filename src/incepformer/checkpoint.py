@@ -10,7 +10,7 @@ Layout (all integers little-endian):
 
 Optimizer moments are stored as tensors named "<param>/m1" and "<param>/m2";
 BatchNorm running statistics are stored under their buffer names.  Payloads
-are always float32, which makes save/load round trips bitwise exact for the
+are always float32, which makes save/restore round trips bitwise exact for the
 default runtime dtype.
 """
 
@@ -68,16 +68,24 @@ def atomic_write(path: str):
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], iteration: int):
-    """Write `tensors` to `path` atomically (see `atomic_write`).  A tensor
-    that `load_checkpoint` would reject raises a CheckpointError naming it
-    and `path`, and `path` keeps its content: one of rank above MAX_RANK or
-    with a name over MAX_NAME_BYTES UTF-8 bytes (checked before anything is
-    written), or one whose float32 payload holds NaN or +-inf (a float64
-    value beyond the float32 range included)."""
+    """Write `tensors` to `path` atomically (see `atomic_write`).  What the
+    layout cannot hold or a restore would reject raises a CheckpointError
+    naming `path` (and the tensor at fault), and `path` keeps its content.
+    Checked before anything is written: an iteration outside the u64 range,
+    a rank above MAX_RANK, and a name that UTF-8 cannot encode or that takes
+    over MAX_NAME_BYTES bytes.  Checked as each payload is written: NaN or
+    +-inf in its float32 values (a float64 value beyond the float32 range
+    included)."""
+    if not 0 <= iteration < 1 << 64:
+        raise CheckpointError(f"iteration {iteration} is outside the u64 range; not writing {path!r}")
     for name, arr in tensors.items():
         if arr.ndim > MAX_RANK:
             raise CheckpointError(f"tensor {name!r} has rank {arr.ndim} > {MAX_RANK}; not writing {path!r}")
-        if len(name.encode("utf-8")) > MAX_NAME_BYTES:
+        try:
+            nbytes = len(name.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise CheckpointError(f"tensor name {name!r} is not encodable as UTF-8; not writing {path!r}") from None
+        if nbytes > MAX_NAME_BYTES:
             raise CheckpointError(f"tensor name {name[:40]!r}... is longer than {MAX_NAME_BYTES} "
                                   f"UTF-8 bytes; not writing {path!r}")
     with atomic_write(path) as fh:
@@ -161,22 +169,6 @@ def _scan(fh) -> tuple[dict[str, tuple[tuple[int, ...], int]], int]:
     if fh.tell() != size:
         raise CheckpointError(f"{size - fh.tell()} trailing bytes after the iteration counter")
     return records, iteration
-
-
-def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
-    """Read every tensor of a checkpoint.  The file is rejected as `_scan`
-    rejects it, before any payload is read; then a tensor holding NaN or
-    +-inf raises a CheckpointError that names it."""
-    with open(path, "rb") as fh:
-        records, iteration = _scan(fh)
-        tensors: dict[str, np.ndarray] = {}
-        for name, (dims, offset) in records.items():
-            arr = np.empty(dims, dtype="<f4")
-            fh.seek(offset)
-            _read_into(fh, arr)
-            _check_finite(arr, name)
-            tensors[name] = arr
-    return tensors, iteration
 
 
 def restore_checkpoint(path: str, targets: dict[str, np.ndarray], skipped) -> int:

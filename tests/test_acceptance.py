@@ -25,7 +25,15 @@ from incepformer.gradcheck import check_model_gradients
 from incepformer.metrics import ConfusionMatrix, eval_miou
 from incepformer.model import IncepMHSA, build_model, freeze_batchnorm_stats
 from incepformer.tensor import Tensor
-from incepformer.train import TrainConfig, cross_entropy, train
+from incepformer.train import (
+    TrainConfig,
+    cross_entropy,
+    init_optim_state,
+    load_training_checkpoint,
+    save_training_checkpoint,
+    train,
+    training_state_tensors,
+)
 
 REFERENCE_PARAMS = {"ipt-t": 14.0e6, "ipt-s": 24.6e6, "ipt-b": 39.6e6}
 REFERENCE_GFLOPS = {"ipt-t": 21.2e9, "ipt-s": 38.5e9, "ipt-b": 54.6e9}
@@ -184,17 +192,15 @@ def test_determinism_and_persistence(tmp_path):
     b = train(cfg, tc(), dataset)
     assert a.history == b.history  # bitwise: same float objects per step
 
-    from incepformer.checkpoint import load_checkpoint
-    from incepformer.train import save_training_checkpoint
-
     path = str(tmp_path / "round.ckpt")
     save_training_checkpoint(path, a.model, a.state, 6)
-    loaded, it = load_checkpoint(path)
-    assert it == 6
-    for name, p in a.model.parameter_store().items():
-        np.testing.assert_array_equal(loaded[name], p.data)
-        np.testing.assert_array_equal(loaded[name + "/m1"], a.state.m[name])
-        np.testing.assert_array_equal(loaded[name + "/m2"], a.state.v[name])
+    model = build_model(cfg, seed=1)
+    state = init_optim_state(model.parameter_store())
+    assert load_training_checkpoint(path, model, state) == 6
+    saved = training_state_tensors(a.model, a.state)
+    restored = training_state_tensors(model, state)
+    for name, arr in saved.items():
+        np.testing.assert_array_equal(restored[name], arr, err_msg=name)
 
     snap = str(tmp_path / "snap.ckpt")
     full = train(cfg, tc(), dataset, snapshot_at=(2, snap))

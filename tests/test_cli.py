@@ -17,7 +17,7 @@ import pytest
 import incepformer
 from incepformer import cli as cli_mod, tensor as T
 from incepformer.analysis import count_params, estimate_flops
-from incepformer.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from incepformer.checkpoint import MAGIC, _scan, save_checkpoint
 from incepformer.cli import _build_parser, run_cli
 from incepformer.config import MAX_CONFIG_CHARS, dumps, ipt_s, ipt_t, load_model_config, micro
 from incepformer.errors import ConfigError, ContractError
@@ -232,7 +232,24 @@ class TestTrainEvalCommands:
         assert not past.exists()
         at = str(tmp_path / "c.ckpt")
         assert run_cli(train_argv + ["--iters", "3", "--resume", first, "--checkpoint", at]) == 0
-        assert load_checkpoint(at)[1] == 3
+        with open(at, "rb") as fh:
+            assert _scan(fh)[1] == 3
+
+    def test_resume_to_iteration_beyond_u64_exit_code(self, tmp_path, capsys):
+        # From a checkpoint at iteration 2^64 - 1, one more iteration runs and
+        # its counter 2^64 cannot be stored: the save is refused as a
+        # checkpoint error, not a struct.error, and nothing is written.
+        train_argv = ["train", "--model", "micro", "--crop", "32x32"]
+        first = tmp_path / "b.ckpt"
+        assert run_cli(train_argv + ["--iters", "1", "--checkpoint", str(first)]) == 0
+        first.write_bytes(first.read_bytes()[:-8] + struct.pack("<Q", 2**64 - 1))
+        capsys.readouterr()
+        at = tmp_path / "c.ckpt"
+        assert run_cli(train_argv + ["--iters", str(2**64), "--resume", str(first), "--checkpoint", str(at)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"iteration {2**64} is outside the u64 range" in err
+        assert not at.exists()
 
     def test_eval_table_format_is_usage_error(self, capsys):
         assert run_cli(["eval", "--model", "micro", "--format", "table"]) == 2
@@ -251,7 +268,8 @@ class TestTrainEvalCommands:
         path = tmp_path / "nan.ckpt"
         assert run_cli(["train", "--model", "micro", "--iters", "1", "--crop", "64x64",
                         "--checkpoint", str(path)]) == 0
-        name = next(iter(load_checkpoint(str(path))[0]))
+        with open(path, "rb") as fh:
+            name = next(iter(_scan(fh)[0]))
         path.write_bytes(with_first_value(path.read_bytes(), name, math.nan))
         capsys.readouterr()
         assert run_cli(["eval", "--model", "micro", "--checkpoint", str(path), "--crop", "64x64"]) == 1

@@ -11,7 +11,7 @@ import pytest
 from oracles import naive_miou, palette_loops
 
 from incepformer import tensor as T
-from incepformer.checkpoint import CHUNK_BYTES, MAGIC, load_checkpoint, restore_checkpoint, save_checkpoint
+from incepformer.checkpoint import CHUNK_BYTES, MAGIC, _scan, restore_checkpoint, save_checkpoint
 from incepformer.config import micro
 from incepformer.data import (
     NOISE_AMPLITUDE,
@@ -465,8 +465,9 @@ class TestCheckpoint:
                + struct.pack("<Q", 1))
         path = tmp_path / "nan.ckpt"
         path.write_bytes(raw)
+        target = {"a/w": np.zeros((2, 3), dtype=np.float32)}
         with pytest.raises(CheckpointError, match="'b/m1'.*non-finite"):
-            load_checkpoint(str(path))
+            restore_checkpoint(str(path), target, {"b/m1"})
 
     @pytest.mark.parametrize("bad,dtype", [(np.nan, np.float32), (-np.inf, np.float32), (1e300, np.float64)],
                              ids=["nan", "-inf", "f64-beyond-f32"])
@@ -496,15 +497,18 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
     def test_largest_rank_and_name_round_trip(self, tmp_path):
-        # One past either limit is refused (above); at it, load reads back what save wrote.
+        # One past either limit is refused (above); at it, a restore reads back what save wrote.
         tensors = {"w": np.full((1,) * 32, 2.5, dtype=np.float32),
                    "\u00e9" * 32767 + "n": np.ones(2, dtype=np.float32)}  # 65535 UTF-8 bytes
         path = str(tmp_path / "x.ckpt")
         save_checkpoint(path, tensors, iteration=3)
-        loaded, it = load_checkpoint(path)
-        assert it == 3 and list(loaded) == list(tensors)
+        with open(path, "rb") as fh:
+            records = _scan(fh)[0]
+        assert list(records) == list(tensors)
+        loaded = {k: np.empty_like(v) for k, v in tensors.items()}
+        assert restore_checkpoint(path, loaded, ()) == 3
         for k in tensors:
-            assert loaded[k].shape == tensors[k].shape
+            assert records[k][0] == tensors[k].shape
             np.testing.assert_array_equal(loaded[k], tensors[k])
 
     def test_round_trip_bitwise(self, tmp_path):
@@ -515,9 +519,10 @@ class TestCheckpoint:
         }
         path = str(tmp_path / "x.ckpt")
         save_checkpoint(path, tensors, iteration=42)
-        loaded, it = load_checkpoint(path)
-        assert it == 42
-        assert list(loaded) == list(tensors)
+        with open(path, "rb") as fh:
+            assert list(_scan(fh)[0]) == list(tensors)
+        loaded = {k: np.empty_like(v) for k, v in tensors.items()}
+        assert restore_checkpoint(path, loaded, ()) == 42
         for k in tensors:
             np.testing.assert_array_equal(loaded[k], tensors[k])
 
@@ -555,16 +560,29 @@ class TestCheckpoint:
         # The second name cannot be encoded, so the save fails while its names
         # are checked, before any byte is written.
         bad = {"a": np.zeros(1000, dtype=np.float32), "\ud800": np.zeros(1, dtype=np.float32)}
-        with pytest.raises(UnicodeEncodeError):
+        with pytest.raises(CheckpointError, match=f"'\\\\ud800' is not encodable .*{str(path)!r}"):
             save_checkpoint(str(path), bad, 2)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+    @pytest.mark.parametrize("iteration", [-1, 2**64])
+    def test_iteration_outside_u64_not_saved(self, tmp_path, iteration):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), {"w": np.ones(3, dtype=np.float32)}, 1)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match=f"^iteration {iteration} is outside the u64 range; "
+                                                  f"not writing {str(path)!r}"):
+            save_checkpoint(str(path), {"w": np.zeros(3, dtype=np.float32)}, iteration)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+        save_checkpoint(str(path), {"w": np.zeros(3, dtype=np.float32)}, 2**64 - 1)
+        assert restore_checkpoint(str(path), {}, {"w"}) == 2**64 - 1
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(CheckpointMagicError):
-            load_checkpoint(str(path))
+            restore_checkpoint(str(path), {}, ())
 
     def test_truncation(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
@@ -574,7 +592,7 @@ class TestCheckpoint:
         short = tmp_path / "short.ckpt"
         short.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointTruncatedError):
-            load_checkpoint(str(short))
+            restore_checkpoint(str(short), {}, ())
 
     @pytest.mark.parametrize("tail", [b"\x00junk", "itself"])
     def test_trailing_bytes_rejected(self, tmp_path, tail):
@@ -585,7 +603,7 @@ class TestCheckpoint:
         tail = raw if tail == "itself" else tail
         path.write_bytes(raw + tail)
         with pytest.raises(CheckpointError, match=f"^{len(tail)} trailing bytes"):
-            load_checkpoint(str(path))
+            restore_checkpoint(str(path), {}, ())
 
     def test_repeated_tensor_name_rejected(self, tmp_path):
         # Two one-value tensors named "w", built field by field like HOSTILE_CKPT.
@@ -594,13 +612,13 @@ class TestCheckpoint:
         path = tmp_path / "dup.ckpt"
         path.write_bytes(raw + struct.pack("<Q", 0))
         with pytest.raises(CheckpointError, match="'w' appears more than once"):
-            load_checkpoint(str(path))
+            restore_checkpoint(str(path), {}, ())
 
     def test_declared_size_beyond_file_rejected(self, tmp_path):
         path = tmp_path / "huge.ckpt"
         path.write_bytes(HOSTILE_CKPT)
         with pytest.raises(CheckpointTruncatedError, match="'w'"):
-            load_checkpoint(str(path))
+            restore_checkpoint(str(path), {}, ())
 
     def test_mismatched_config_names_first_offender(self, tmp_path):
         import dataclasses
@@ -672,24 +690,26 @@ class TestCheckpoint:
         for name in res.state.m:
             np.testing.assert_array_equal(res.state.m[name], state2.m[name])
 
-    @pytest.mark.parametrize("fault", ["nan", "cut"])
+    @pytest.mark.parametrize("fault", ["nan", "cut", "param"])
     def test_rejected_skipped_moment_changes_nothing(self, tmp_path, fault):
         # Without a state the moments are checked, not kept: a NaN in one, or
-        # a file cut inside one, is rejected naming it before any copy.
+        # a file cut inside one, is rejected naming it before any copy.  So is
+        # a NaN in the last parameter, read after every other parameter has
+        # been staged.
         model = build_model(micro(), seed=0)
         state = init_optim_state(model.parameter_store())
         names = model.parameter_store().names()
         path = tmp_path / "m.ckpt"
         save_training_checkpoint(str(path), model, state, 3)
         raw = path.read_bytes()
-        moment = f"{names[len(names) // 2]}/m1" if fault == "nan" else f"{names[-1]}/m2"
-        at = payload_offset(raw, moment, state.m[moment[:-3]].ndim)
-        if fault == "nan":
+        bad = {"nan": f"{names[len(names) // 2]}/m1", "cut": f"{names[-1]}/m2", "param": names[-1]}[fault]
+        at = payload_offset(raw, bad, training_state_tensors(model, state)[bad].ndim)
+        if fault != "cut":
             path.write_bytes(raw[:at] + np.array(np.nan, dtype="<f4").tobytes() + raw[at + 4:])
-            error, match = CheckpointError, f"'{moment}' holds non-finite"
+            error, match = CheckpointError, f"'{bad}' holds non-finite"
         else:
             path.write_bytes(raw[:at + 4])
-            error, match = CheckpointTruncatedError, f"'{moment}' declares"
+            error, match = CheckpointTruncatedError, f"'{bad}' declares"
         other = build_model(micro(), seed=1)
         before = {name: arr.copy() for name, arr in training_state_tensors(other).items()}
         with pytest.raises(error, match=match):
