@@ -21,6 +21,7 @@ import os
 import stat
 import struct
 from contextlib import contextmanager
+from typing import Mapping
 
 import numpy as np
 
@@ -171,16 +172,19 @@ def _scan(fh) -> tuple[dict[str, tuple[tuple[int, ...], int]], int]:
     return records, iteration
 
 
-def restore_checkpoint(path: str, targets: dict[str, np.ndarray], skipped) -> int:
+def restore_checkpoint(path: str, targets: dict[str, np.ndarray],
+                       skipped: Mapping[str, tuple[int, ...]]) -> int:
     """Copy a checkpoint's tensors into the `targets` arrays in place and
-    return its iteration.  Every tensor of the file must be a target or in
-    `skipped`, whose payloads are checked but not kept.
+    return its iteration.  Every tensor of the file must be a target or a
+    name in `skipped`, which maps it to its expected shape; a skipped
+    payload is checked but not kept, and a skipped name may be absent.
 
     The file is rejected as `_scan` rejects it.  Then, before any payload
     is read, a file name that is neither a target nor skipped raises
     CheckpointShapeError naming the first one; so does a target that is
-    missing from the file or whose shape differs, the first in the targets'
-    own (model) order, so the mismatch reported is deterministic.  Then the
+    missing from the file, and a target or skipped tensor whose shape
+    differs.  The first such in the targets' own (model) order, then in
+    `skipped`'s order, is reported, so the mismatch is deterministic.  Then the
     payloads are read in file order: the targets' into one float32 staging
     buffer, the skipped ones CHUNK_BYTES at a time through a buffer made
     when the first of them is read, and the first holding NaN or +-inf
@@ -194,13 +198,15 @@ def restore_checkpoint(path: str, targets: dict[str, np.ndarray], skipped) -> in
         extra = next((name for name in records if name not in targets and name not in skipped), None)
         if extra is not None:
             raise CheckpointShapeError(f"checkpoint tensor {extra!r} has no counterpart in the model")
-        for name, dst in targets.items():
+        expected = [(name, dst.shape) for name, dst in targets.items()] + list(skipped.items())
+        for name, shape in expected:
             if name not in records:
-                raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")
-            if records[name][0] != dst.shape:
+                if name in targets:
+                    raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")
+            elif records[name][0] != shape:
                 raise CheckpointShapeError(
                     f"tensor {name!r} has shape {records[name][0]} in checkpoint, "
-                    f"expected {dst.shape}"
+                    f"expected {shape}"
                 )
         sizes = [dst.size for dst in targets.values()]
         slots = dict(zip(targets, np.split(np.empty(sum(sizes), dtype="<f4"), np.cumsum(sizes)[:-1])))

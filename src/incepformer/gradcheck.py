@@ -13,16 +13,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .config import ModelConfig
 from .errors import ConfigError
+from .model import build_model, freeze_batchnorm_stats
 from .tensor import GradTape, Tensor, backward
 from .train import cross_entropy
 
+# The central-difference step and the pass tolerance of every check below.
+# In float64 the step's truncation and roundoff errors both stay well under
+# the tolerance; in float32 they do not.
+FD_STEP = 1e-5
+GRAD_TOL = 1e-4
 # Denominator floor: below this scale the comparison is effectively absolute,
 # which keeps finite-difference roundoff from failing near-zero gradients.
 REL_ERR_FLOOR = 1e-4
 
 
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> np.ndarray:
+def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of scalar-valued `f` at `x`.
 
     `x.data` is perturbed in place one coordinate at a time and restored,
@@ -66,7 +73,7 @@ class GradCheckRow:
         return self.rel_err < self.tol
 
 
-def _compare(loss_fn: Callable[[], Tensor], named: Sequence[tuple[str, Tensor]], h: float,
+def _compare(loss_fn: Callable[[], Tensor], named: Sequence[tuple[str, Tensor]],
              tol: float) -> list[GradCheckRow]:
     """One row per (name, tensor): the tape gradient of scalar `loss_fn()`
     against its central differences.  The tape pass runs first, and its
@@ -75,7 +82,7 @@ def _compare(loss_fn: Callable[[], Tensor], named: Sequence[tuple[str, Tensor]],
         loss = loss_fn()
     backward(loss, tape)
     auto = [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for _, x in named]
-    return [GradCheckRow(name, rel_error(a, finite_diff_grad(lambda _x: loss_fn().item(), x, h)), tol)
+    return [GradCheckRow(name, rel_error(a, finite_diff_grad(lambda _x: loss_fn().item(), x)), tol)
             for (name, x), a in zip(named, auto)]
 
 
@@ -83,22 +90,22 @@ def check_function(
     f: Callable[[Sequence[Tensor]], Tensor],
     inputs: Sequence[Tensor],
     name: str,
-    h: float = 1e-5,
-    tol: float = 1e-4,
+    tol: float = GRAD_TOL,
 ) -> list[GradCheckRow]:
-    """Compare autodiff grads of scalar `f(inputs)` against finite differences.
+    """Compare autodiff grads of scalar `f(inputs)` against finite differences
+    with step FD_STEP.
 
     One row per differentiable input.
     """
     named = [(f"{name}/arg{i}", x) for i, x in enumerate(inputs) if x.requires_grad]
-    return _compare(lambda: f(inputs), named, h, tol)
+    return _compare(lambda: f(inputs), named, tol)
 
 
 def _rand(rng, shape, dtype=np.float64, grad=True) -> Tensor:
     return Tensor(rng.standard_normal(shape), dtype=dtype, requires_grad=grad)
 
 
-def check_op_gradients(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> list[GradCheckRow]:
+def check_op_gradients(seed: int = 0) -> list[GradCheckRow]:
     """Gradient-check every registered forward op on small random tensors.
 
     Each case projects the op output to a scalar against a fixed random
@@ -117,7 +124,7 @@ def check_op_gradients(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> lis
                 w = Tensor(rng.standard_normal(out.shape), dtype=np.float64)
             return T.tsum(T.mul(out, w))
 
-        rows.extend(check_function(f, inputs, name, h, tol))
+        rows.extend(check_function(f, inputs, name))
 
     run("add", T.add, _rand(rng, (3, 4)), _rand(rng, (3, 4)))
     run("mul", T.mul, _rand(rng, (3, 4)), _rand(rng, (3, 4)))
@@ -170,10 +177,25 @@ def check_op_gradients(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> lis
     return rows
 
 
-def check_model_gradients(model, loss_fn, h: float = 1e-5, tol: float = 1e-4) -> list[GradCheckRow]:
+def check_model_gradients(model, loss_fn) -> list[GradCheckRow]:
     """Compare autodiff vs finite differences for every model parameter.
 
     `loss_fn()` must rebuild the forward pass from the model's current
     parameters and return a scalar Tensor.  One row per parameter tensor.
     """
-    return _compare(loss_fn, list(model.parameter_store().items()), h, tol)
+    return _compare(loss_fn, list(model.parameter_store().items()), GRAD_TOL)
+
+
+def check_config_gradients(cfg: ModelConfig, seed: int, height: int, width: int) -> list[GradCheckRow]:
+    """`check_model_gradients` of the loss that `incepformer gradcheck` checks:
+    a float64 model of `cfg` built at `seed`, in training mode with frozen
+    BatchNorm statistics, applied to two uniform [0, 1) images of
+    height x width, and scored by `cross_entropy` against integer labels.
+    The images and labels are drawn from SeedSequence([seed, 42])."""
+    model = build_model(cfg, seed=seed, dtype="f64")
+    model.train()
+    freeze_batchnorm_stats(model)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 42]))
+    image = Tensor(rng.uniform(0.0, 1.0, (2, 3, height, width)), dtype="f64")
+    labels = rng.integers(0, cfg.num_classes, (2, height, width))
+    return check_model_gradients(model, lambda: cross_entropy(model(image), labels))

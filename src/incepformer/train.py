@@ -51,6 +51,8 @@ class TrainConfig:
         check_input_size(*self.crop, "crop")
         if self.max_iters < 1 or self.batch_size < 1:
             raise ConfigError("max_iters and batch_size must be >= 1")
+        if self.max_iters >= 1 << 64:  # a checkpoint stores the iteration as a u64
+            raise ConfigError(f"max_iters {self.max_iters} does not fit a checkpoint's u64 iteration counter")
         if self.batch_size * self.crop[0] * self.crop[1] > MAX_INPUT_SIDE ** 2:
             raise ConfigError(f"batch_size {self.batch_size} of {self.crop[0]}x{self.crop[1]} crops exceeds "
                               f"{MAX_INPUT_SIDE}x{MAX_INPUT_SIDE} pixels per batch")
@@ -229,12 +231,13 @@ def load_training_checkpoint(path: str, model: IncepFormer,
     returns the stored iteration counter.  A checkpoint tensor that is not
     in `training_state_tensors(model, state)` raises CheckpointShapeError,
     except the moments of the model's parameters when `state` is None,
-    which are checked but not read into memory whole; so does a missing
-    tensor or a shape mismatch.  Any rejection comes before the first copy,
+    which are checked but not read into memory whole.  So does a missing
+    tensor, and one whose shape differs from its array's (a skipped
+    moment's from its parameter's).  Any rejection comes before the first copy,
     and leaves the model and `state` as they were (see
     `restore_checkpoint`)."""
-    moments = () if state is not None else {
-        f"{name}/{m}" for name in model.parameter_store().names() for m in ("m1", "m2")}
+    moments = {} if state is not None else {
+        f"{name}/{m}": p.shape for name, p in model.parameter_store().items() for m in ("m1", "m2")}
     iteration = restore_checkpoint(path, training_state_tensors(model, state), moments)
     if state is not None:
         state.step = iteration

@@ -21,13 +21,12 @@ from incepformer.analysis import (
 )
 from incepformer.config import ipt_b, ipt_s, ipt_t, micro
 from incepformer.data import make_synth_dataset
-from incepformer.gradcheck import check_model_gradients
+from incepformer.gradcheck import FD_STEP, GRAD_TOL, check_config_gradients
 from incepformer.metrics import ConfusionMatrix, eval_miou
-from incepformer.model import IncepMHSA, build_model, freeze_batchnorm_stats
+from incepformer.model import IncepMHSA, build_model
 from incepformer.tensor import Tensor
 from incepformer.train import (
     TrainConfig,
-    cross_entropy,
     init_optim_state,
     load_training_checkpoint,
     save_training_checkpoint,
@@ -43,12 +42,13 @@ def criterion(number, description):
     def wrap(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs):
+            start = time.monotonic()
             try:
                 fn(*args, **kwargs)
             except BaseException:
-                print(f"criterion {number} ({description}): FAIL")
+                print(f"criterion {number} ({description}): FAIL in {time.monotonic() - start:.1f} s")
                 raise
-            print(f"criterion {number} ({description}): PASS")
+            print(f"criterion {number} ({description}): PASS in {time.monotonic() - start:.1f} s")
 
         return run
 
@@ -57,22 +57,12 @@ def criterion(number, description):
 
 @criterion(1, "gradient soundness on the micro preset")
 def test_gradient_soundness():
+    # The loss `incepformer gradcheck --model micro --input 32x32` checks.
     start = time.monotonic()
-    cfg = micro()
-    model = build_model(cfg, seed=0, dtype="f64")
-    model.train()
-    freeze_batchnorm_stats(model)
-    rng = np.random.default_rng(np.random.SeedSequence([0, 42]))
-    image = Tensor(rng.uniform(0.0, 1.0, (2, 3, 32, 32)), dtype="f64")
-    labels = rng.integers(0, cfg.num_classes, (2, 32, 32))
-
-    def loss_fn():
-        logits = model(image)
-        up = T.bilinear_upsample(logits, 32, 32, align_corners=False)
-        return cross_entropy(up, labels)
-
-    rows = check_model_gradients(model, loss_fn, h=1e-5, tol=1e-4)
-    assert len(rows) == len(model.parameter_store())
+    assert (FD_STEP, GRAD_TOL) == (1e-5, 1e-4)
+    rows = check_config_gradients(micro(), 0, 32, 32)
+    assert [r.name for r in rows] == build_model(micro(), seed=0).parameter_store().names()
+    assert all(r.tol == GRAD_TOL for r in rows)
     bad = [(r.name, r.rel_err) for r in rows if not r.ok]
     assert not bad, bad
     elapsed = time.monotonic() - start

@@ -337,7 +337,7 @@ class TestBackward:
             y = T.softmax(T.img2seq(y), axis=-1)
             return T.tsum(T.mul(y, T.img2seq(proj)))
 
-        rows = check_function(f, [x, w, g, b], "composite", h=1e-5, tol=1e-5)
+        rows = check_function(f, [x, w, g, b], "composite", tol=1e-5)
         assert rows and all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
 
 
@@ -420,7 +420,7 @@ class TestDepthwiseGradients:
                 proj.append(t64(rng.standard_normal(out.shape)))
             return T.tsum(T.mul(out, proj[0]))
 
-        rows = check_function(f, [x, w, b], "conv2d_dw", h=1e-5, tol=1e-6)
+        rows = check_function(f, [x, w, b], "conv2d_dw", tol=1e-6)
         assert len(rows) == 3
         assert all(r.ok for r in rows), [(r.name, r.rel_err) for r in rows]
 

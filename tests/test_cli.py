@@ -24,6 +24,7 @@ from incepformer.errors import ConfigError, ContractError
 from incepformer.model import build_model
 from incepformer.netpbm import HEADER_BYTES, read_image, write_pgm, write_ppm
 from incepformer.tensor import Tensor
+from incepformer.train import init_optim_state, training_state_tensors
 
 TINY_CONFIG = {
     "name": "tiny",
@@ -236,19 +237,19 @@ class TestTrainEvalCommands:
             assert _scan(fh)[1] == 3
 
     def test_resume_to_iteration_beyond_u64_exit_code(self, tmp_path, capsys):
-        # From a checkpoint at iteration 2^64 - 1, one more iteration runs and
-        # its counter 2^64 cannot be stored: the save is refused as a
-        # checkpoint error, not a struct.error, and nothing is written.
+        # From a checkpoint at iteration 2^64 - 1, --iters 2^64 would run one
+        # more iteration whose counter a checkpoint cannot store: the config
+        # is refused before any work, and nothing is written.
         train_argv = ["train", "--model", "micro", "--crop", "32x32"]
         first = tmp_path / "b.ckpt"
         assert run_cli(train_argv + ["--iters", "1", "--checkpoint", str(first)]) == 0
         first.write_bytes(first.read_bytes()[:-8] + struct.pack("<Q", 2**64 - 1))
         capsys.readouterr()
         at = tmp_path / "c.ckpt"
-        assert run_cli(train_argv + ["--iters", str(2**64), "--resume", str(first), "--checkpoint", str(at)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert f"iteration {2**64} is outside the u64 range" in err
+        assert run_cli(train_argv + ["--iters", str(2**64), "--resume", str(first), "--checkpoint", str(at)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"max_iters {2**64}" in err
         assert not at.exists()
 
     def test_eval_table_format_is_usage_error(self, capsys):
@@ -304,6 +305,22 @@ class TestTrainEvalCommands:
         assert run_cli([a.format(ckpt=ckpt) for a in argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "'stage1/block1/" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "micro", "--crop", "32x32", "--checkpoint", "{ckpt}"],
+        ["train", "--model", "micro", "--crop", "32x32", "--iters", "2", "--resume", "{ckpt}"],
+    ], ids=["eval", "resume"])
+    def test_moment_of_another_shape_exit_code(self, argv, tmp_path, capsys):
+        # eval skips the moments and resume restores them; both reject the same file.
+        model = build_model(micro(), seed=0)
+        tensors = training_state_tensors(model, init_optim_state(model.parameter_store()))
+        tensors["stage1/patch/proj/weight/m1"] = np.ones(1, dtype=np.float32)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), tensors, 1)
+        assert run_cli([a.format(ckpt=ckpt) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "'stage1/patch/proj/weight/m1' has shape (1,)" in err
 
     def test_eval_trailing_bytes_checkpoint_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tail.ckpt"

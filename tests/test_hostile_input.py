@@ -64,8 +64,8 @@ def checkpoint_files(draw):
 def read_checkpoint(path: str):
     """Scan `path`, then restore none of its tensors: every payload is read and checked."""
     with open(path, "rb") as fh:
-        names = _scan(fh)[0]
-    restore_checkpoint(path, {}, set(names))
+        records = _scan(fh)[0]
+    restore_checkpoint(path, {}, {name: dims for name, (dims, _) in records.items()})
 
 
 @EXAMPLES

@@ -2,6 +2,7 @@
 the training loop."""
 
 import math
+import re
 import struct
 import tracemalloc
 
@@ -467,7 +468,7 @@ class TestCheckpoint:
         path.write_bytes(raw)
         target = {"a/w": np.zeros((2, 3), dtype=np.float32)}
         with pytest.raises(CheckpointError, match="'b/m1'.*non-finite"):
-            restore_checkpoint(str(path), target, {"b/m1"})
+            restore_checkpoint(str(path), target, {"b/m1": (4,)})
 
     @pytest.mark.parametrize("bad,dtype", [(np.nan, np.float32), (-np.inf, np.float32), (1e300, np.float64)],
                              ids=["nan", "-inf", "f64-beyond-f32"])
@@ -506,7 +507,7 @@ class TestCheckpoint:
             records = _scan(fh)[0]
         assert list(records) == list(tensors)
         loaded = {k: np.empty_like(v) for k, v in tensors.items()}
-        assert restore_checkpoint(path, loaded, ()) == 3
+        assert restore_checkpoint(path, loaded, {}) == 3
         for k in tensors:
             assert records[k][0] == tensors[k].shape
             np.testing.assert_array_equal(loaded[k], tensors[k])
@@ -522,7 +523,7 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             assert list(_scan(fh)[0]) == list(tensors)
         loaded = {k: np.empty_like(v) for k, v in tensors.items()}
-        assert restore_checkpoint(path, loaded, ()) == 42
+        assert restore_checkpoint(path, loaded, {}) == 42
         for k in tensors:
             np.testing.assert_array_equal(loaded[k], tensors[k])
 
@@ -576,13 +577,13 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
         save_checkpoint(str(path), {"w": np.zeros(3, dtype=np.float32)}, 2**64 - 1)
-        assert restore_checkpoint(str(path), {}, {"w"}) == 2**64 - 1
+        assert restore_checkpoint(str(path), {}, {"w": (3,)}) == 2**64 - 1
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(CheckpointMagicError):
-            restore_checkpoint(str(path), {}, ())
+            restore_checkpoint(str(path), {}, {})
 
     def test_truncation(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
@@ -592,7 +593,7 @@ class TestCheckpoint:
         short = tmp_path / "short.ckpt"
         short.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointTruncatedError):
-            restore_checkpoint(str(short), {}, ())
+            restore_checkpoint(str(short), {}, {})
 
     @pytest.mark.parametrize("tail", [b"\x00junk", "itself"])
     def test_trailing_bytes_rejected(self, tmp_path, tail):
@@ -603,7 +604,7 @@ class TestCheckpoint:
         tail = raw if tail == "itself" else tail
         path.write_bytes(raw + tail)
         with pytest.raises(CheckpointError, match=f"^{len(tail)} trailing bytes"):
-            restore_checkpoint(str(path), {}, ())
+            restore_checkpoint(str(path), {}, {})
 
     def test_repeated_tensor_name_rejected(self, tmp_path):
         # Two one-value tensors named "w", built field by field like HOSTILE_CKPT.
@@ -612,13 +613,13 @@ class TestCheckpoint:
         path = tmp_path / "dup.ckpt"
         path.write_bytes(raw + struct.pack("<Q", 0))
         with pytest.raises(CheckpointError, match="'w' appears more than once"):
-            restore_checkpoint(str(path), {}, ())
+            restore_checkpoint(str(path), {}, {})
 
     def test_declared_size_beyond_file_rejected(self, tmp_path):
         path = tmp_path / "huge.ckpt"
         path.write_bytes(HOSTILE_CKPT)
         with pytest.raises(CheckpointTruncatedError, match="'w'"):
-            restore_checkpoint(str(path), {}, ())
+            restore_checkpoint(str(path), {}, {})
 
     def test_mismatched_config_names_first_offender(self, tmp_path):
         import dataclasses
@@ -673,6 +674,40 @@ class TestCheckpoint:
         save_checkpoint(path, {**training_state_tensors(model), "stage9/w/m1": np.ones(2, dtype=np.float32)}, 1)
         with pytest.raises(CheckpointShapeError, match="'stage9/w/m1'"):
             load_training_checkpoint(path, model)
+
+    def test_skipped_shape_checked_and_name_may_be_absent(self, tmp_path):
+        path = str(tmp_path / "s.ckpt")
+        skipped = {"w/m1": (3,), "w/m2": (3,)}
+        save_checkpoint(path, {"w": np.ones(3, dtype=np.float32), "w/m1": np.ones(2, dtype=np.float32)}, 4)
+        target = {"w": np.zeros(3, dtype=np.float32)}
+        with pytest.raises(CheckpointShapeError, match=r"'w/m1' has shape \(2,\) in checkpoint, expected \(3,\)"):
+            restore_checkpoint(path, target, skipped)
+        assert not target["w"].any()
+        save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)}, 4)
+        assert restore_checkpoint(path, target, skipped) == 4
+        assert target["w"].all()
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_moment_of_another_shape_rejected_by_name(self, tmp_path, with_state):
+        # A moment is skipped without a state and restored with one; either
+        # way a moment whose shape is not its parameter's is rejected, naming
+        # it, before any copy.
+        path = str(tmp_path / "m.ckpt")
+        model = build_model(micro(), seed=0)
+        tensors = training_state_tensors(model, init_optim_state(model.parameter_store()))
+        param = "stage1/patch/proj/weight"
+        bad = f"{param}/m1"
+        tensors[bad] = np.ones(1, dtype=np.float32)
+        save_checkpoint(path, tensors, 1)
+        other = build_model(micro(), seed=1)
+        other_state = init_optim_state(other.parameter_store()) if with_state else None
+        targets = training_state_tensors(other, other_state)
+        before = {name: arr.copy() for name, arr in targets.items()}
+        expected = re.escape(f"(1,) in checkpoint, expected {other.parameter_store()[param].shape}")
+        with pytest.raises(CheckpointShapeError, match=f"'{bad}' has shape {expected}"):
+            load_training_checkpoint(path, other, other_state)
+        for name, arr in targets.items():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
 
     def test_training_round_trip_restores_everything(self, tmp_path):
         path = str(tmp_path / "full.ckpt")
@@ -729,7 +764,7 @@ class TestCheckpoint:
         target = {"w": np.zeros(n, dtype=np.float32)}
         tracemalloc.start()
         try:
-            assert restore_checkpoint(path, target, {"w/m1", "w/m2"}) == 5
+            assert restore_checkpoint(path, target, {"w/m1": (n,), "w/m2": (n,)}) == 5
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -816,6 +851,13 @@ class TestTrainLoop:
 
         with pytest.raises(ConfigError, match=field):
             tcfg(**{field: value}).validate()
+
+    def test_max_iters_fits_the_checkpoint_counter(self):
+        from incepformer.errors import ConfigError
+
+        tcfg(max_iters=2**64 - 1).validate()
+        with pytest.raises(ConfigError, match=f"max_iters {2**64} does not fit"):
+            tcfg(max_iters=2**64).validate()
 
     @pytest.mark.parametrize("scale_range", [(0.5, math.inf), (math.inf, math.inf), (0.5, math.nan),
                                              (-math.inf, 1.0), (0.0, 1.0), (2.0, 1.0)])

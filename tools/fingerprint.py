@@ -88,7 +88,7 @@ def eval_logits(cfg, dtype: str, size: int) -> np.ndarray:
 
 def tape_fingerprint(cfg, dtype: str, size: int, batch: int, freeze_bn: bool) -> str:
     """Recorded ops and the SHA-256 of the parameter gradients of one
-    `cross_entropy` loss, built as `incepformer gradcheck` builds it."""
+    `cross_entropy` loss, built as `gradcheck.check_config_gradients` builds it."""
     model = build_model(cfg, seed=0, dtype=dtype)
     model.train()
     if freeze_bn:
