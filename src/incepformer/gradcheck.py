@@ -19,9 +19,10 @@ from .model import build_model, freeze_batchnorm_stats
 from .tensor import GradTape, Tensor, backward
 from .train import cross_entropy
 
-# The central-difference step and the pass tolerance of every check below.
-# In float64 the step's truncation and roundoff errors both stay well under
-# the tolerance; in float32 they do not.
+# The central-difference step of every check below and its pass tolerance
+# (only `check_function` may be given a tighter one).  In float64 the step's
+# truncation and roundoff errors both stay well under the tolerance; in
+# float32 they do not.
 FD_STEP = 1e-5
 GRAD_TOL = 1e-4
 # Denominator floor: below this scale the comparison is effectively absolute,
