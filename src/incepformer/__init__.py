@@ -9,9 +9,7 @@ training/evaluation harness.
 from .analysis import (
     CostReport,
     CostRow,
-    compare_decoder_channels,
     count_params,
-    decoder_params,
     emit_report,
     estimate_flops,
 )
@@ -59,10 +57,8 @@ __all__ = [
     "build_model",
     "check_model_gradients",
     "check_op_gradients",
-    "compare_decoder_channels",
     "count_params",
     "cross_entropy",
-    "decoder_params",
     "emit_report",
     "estimate_flops",
     "eval_miou",

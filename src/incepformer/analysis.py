@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .config import INPUT_MULTIPLE, PATCH_STRIDES, ModelConfig, check_input_size
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 
 CAT_PARAMS = "params"
 CAT_LINEAR = "linear"
@@ -186,33 +186,6 @@ def estimate_flops(cfg: ModelConfig, h: int, w: int) -> CostReport:
         "flop_convention": "macs x1; hook_profiler total excludes the attention category",
     }
     return CostReport(rows=walk.params + walk.flops, meta=meta)
-
-
-@dataclass
-class DecoderSweep:
-    channels: list[int]
-    reports: list[CostReport]
-    param_deltas: list[int]
-
-
-def compare_decoder_channels(cfg: ModelConfig, channels: list[int]) -> DecoderSweep:
-    """One parameter report per decoder width, plus the parameter deltas
-    between consecutive widths."""
-    if not channels or any(c < 1 for c in channels):
-        raise ConfigError("decoder channel list must contain positive values")
-    reports = [count_params(replace(cfg, decoder_channels=int(c))) for c in channels]
-    p = [r.total_params for r in reports]
-    return DecoderSweep(
-        channels=list(channels),
-        reports=reports,
-        param_deltas=[b - a for a, b in zip(p, p[1:])],
-    )
-
-
-def decoder_params(cfg: ModelConfig) -> int:
-    """Learnable parameter count of the decoder alone."""
-    report = count_params(cfg)
-    return sum(r.params for r in report.rows if r.layer.startswith("decoder/"))
 
 
 def emit_report(report: CostReport, fmt: str) -> bytes:

@@ -160,7 +160,7 @@ def _cmd_eval(args) -> int:
     if args.checkpoint:
         load_training_checkpoint(args.checkpoint, model)
     dataset = make_synth_dataset(8, ch, cw, cfg.num_classes, args.seed + 1)
-    result = eval_miou(model, dataset, TrainConfig(seed=args.seed))
+    result = eval_miou(model, dataset, TrainConfig())
     if args.format == "json":
         doc = {
             "miou": result.miou,

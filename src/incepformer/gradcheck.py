@@ -187,16 +187,21 @@ def check_model_gradients(model, loss_fn) -> list[GradCheckRow]:
     return _compare(loss_fn, list(model.parameter_store().items()), GRAD_TOL)
 
 
-def check_config_gradients(cfg: ModelConfig, seed: int, height: int, width: int) -> list[GradCheckRow]:
-    """`check_model_gradients` of the loss that `incepformer gradcheck` checks:
-    a float64 model of `cfg` built at `seed`, in training mode with frozen
-    BatchNorm statistics, applied to two uniform [0, 1) images of
-    height x width, and scored by `cross_entropy` against integer labels.
-    The images and labels are drawn from SeedSequence([seed, 42])."""
+def config_loss(cfg: ModelConfig, seed: int, height: int, width: int):
+    """The `(model, loss_fn)` that `incepformer gradcheck` checks: a float64
+    model of `cfg` built at `seed`, in training mode with frozen BatchNorm
+    statistics, applied to two uniform [0, 1) images of height x width, and
+    scored by `cross_entropy` against integer labels.  The images and labels
+    are drawn from SeedSequence([seed, 42])."""
     model = build_model(cfg, seed=seed, dtype="f64")
     model.train()
     freeze_batchnorm_stats(model)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 42]))
     image = Tensor(rng.uniform(0.0, 1.0, (2, 3, height, width)), dtype="f64")
     labels = rng.integers(0, cfg.num_classes, (2, height, width))
-    return check_model_gradients(model, lambda: cross_entropy(model(image), labels))
+    return model, lambda: cross_entropy(model(image), labels)
+
+
+def check_config_gradients(cfg: ModelConfig, seed: int, height: int, width: int) -> list[GradCheckRow]:
+    """`check_model_gradients` of the `config_loss` of `cfg`."""
+    return check_model_gradients(*config_loss(cfg, seed, height, width))

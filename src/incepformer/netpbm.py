@@ -18,19 +18,20 @@ def write_pgm(path: str, arr: np.ndarray):
     """P5, maxval 255, written atomically.  `arr` is [H, W] uint8."""
     if arr.ndim != 2:
         raise ContractError(f"PGM needs a 2-D array, got shape {arr.shape}")
-    h, w = arr.shape
-    with atomic_write(path) as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
+    _write_netpbm(path, "P5", arr)
 
 
 def write_ppm(path: str, arr: np.ndarray):
     """P6, maxval 255, written atomically.  `arr` is [H, W, 3] uint8."""
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ContractError(f"PPM needs an [H, W, 3] array, got shape {arr.shape}")
-    h, w, _ = arr.shape
+    _write_netpbm(path, "P6", arr)
+
+
+def _write_netpbm(path: str, magic: str, arr: np.ndarray):
+    h, w = arr.shape[:2]
     with atomic_write(path) as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
 
 

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; tolerances and runtime budgets are asserted, not just reported.
 """
 
+import dataclasses
 import functools
 import math
 import time
@@ -12,13 +13,7 @@ import numpy as np
 import pytest
 
 from incepformer import tensor as T
-from incepformer.analysis import (
-    compare_decoder_channels,
-    conv_macs,
-    count_params,
-    decoder_params,
-    estimate_flops,
-)
+from incepformer.analysis import conv_macs, count_params, estimate_flops
 from incepformer.config import ipt_b, ipt_s, ipt_t, micro
 from incepformer.data import make_synth_dataset
 from incepformer.gradcheck import FD_STEP, GRAD_TOL, check_config_gradients
@@ -105,9 +100,11 @@ def test_parameter_counts():
 @criterion(4, "decoder size facts")
 def test_decoder_facts():
     for mk in (ipt_t, ipt_s, ipt_b):
-        assert decoder_params(mk(num_classes=150)) < 1_000_000
-    sweep = compare_decoder_channels(ipt_s(num_classes=150), [512, 768])
-    delta = sweep.param_deltas[0]
+        rows = count_params(mk(num_classes=150)).rows
+        assert sum(r.params for r in rows if r.layer.startswith("decoder/")) < 1_000_000
+    cfg = ipt_s(num_classes=150)
+    p512, p768 = (count_params(dataclasses.replace(cfg, decoder_channels=c)).total_params for c in (512, 768))
+    delta = p768 - p512
     assert delta == (1024 + 1) * 256 + 256 * 150  # analytic value, exact
     assert abs(delta - 0.2e6) <= 0.15e6  # reference decoder-width sweep: 24.4M -> 24.6M
 

@@ -1,5 +1,5 @@
 """Cost accounting: closed-form counts vs enumeration, FLOP conventions,
-decoder sweeps and report emission."""
+decoder-width facts and report emission."""
 
 import dataclasses
 import json
@@ -10,10 +10,8 @@ from incepformer.analysis import (
     CAT_ATTENTION,
     CAT_PARAMS,
     CostReport,
-    compare_decoder_channels,
     conv_macs,
     count_params,
-    decoder_params,
     emit_report,
     estimate_flops,
     matmul_macs,
@@ -158,28 +156,22 @@ class TestFlops:
         assert len({r.layer for r in rows}) == len(rows)
 
 
+def total_params_at_width(cfg, channels: int) -> int:
+    return count_params(dataclasses.replace(cfg, decoder_channels=channels)).total_params
+
+
 class TestDecoderFacts:
-    @pytest.mark.parametrize("mk", [ipt_t, ipt_s, ipt_b])
-    def test_decoder_under_one_million(self, mk):
-        assert decoder_params(mk(num_classes=150)) < 1_000_000
-
-    def test_delta_512_to_768_analytic(self):
-        sweep = compare_decoder_channels(ipt_s(num_classes=150), [512, 768])
-        delta = sweep.param_deltas[0]
-        assert delta == (1024 + 1) * 256 + 256 * 150 == 300800
-        # magnitude consistent with the reference 24.4M -> 24.6M step
-        assert abs(delta - 0.2e6) <= 0.15e6
-
     def test_deltas_strictly_increasing_in_c(self):
-        sweep = compare_decoder_channels(ipt_s(), [256, 512, 768, 1024, 2048])
-        per_channel = [d / (c2 - c1) for d, c1, c2 in
-                       zip(sweep.param_deltas, sweep.channels, sweep.channels[1:])]
-        assert all(d > 0 for d in sweep.param_deltas)
+        channels = [256, 512, 768, 1024, 2048]
+        totals = [total_params_at_width(ipt_s(), c) for c in channels]
+        deltas = [b - a for a, b in zip(totals, totals[1:])]
+        per_channel = [d / (c2 - c1) for d, c1, c2 in zip(deltas, channels, channels[1:])]
+        assert all(d > 0 for d in deltas)
         assert len(set(round(p) for p in per_channel)) == 1  # linear in C
 
     def test_gap_256_to_2048(self):
-        sweep = compare_decoder_channels(ipt_s(num_classes=150), [256, 2048])
-        gap = sweep.reports[1].total_params - sweep.reports[0].total_params
+        cfg = ipt_s(num_classes=150)
+        gap = total_params_at_width(cfg, 2048) - total_params_at_width(cfg, 256)
         assert abs(gap - 2.0e6) <= 0.15e6
 
 

@@ -18,20 +18,23 @@ Prints one line per fingerprint:
 * the SHA-256 of every `emit_report` format of `count_params` and of
   `estimate_flops` at 32x32, 64x96, 512x512 and 1024x2048, for each preset.
 * the number of recorded ops and the SHA-256 of the tape gradients of every
-  parameter, in store order, for one loss: the composition of
-  `incepformer gradcheck` (micro f64, 32x32, batch 2, BatchNorm frozen),
-  and the same for ipt-t f32 at 512x512, batch 1, where stage-1 attention
+  parameter, in store order, for one loss: the loss `incepformer gradcheck`
+  checks, as `gradcheck.config_loss` builds it (micro f64, 32x32, batch 2,
+  BatchNorm frozen), and the same composition for ipt-t f32 at 512x512,
+  batch 1, with BatchNorm statistics updating, where stage-1 attention
   runs 25 query blocks and the decoder 32 row blocks on the tape.
 
-To compare two source trees, run it against each and compare the outputs:
+To compare two source trees, run each tree's own copy against its source
+(the tool calls into the package) and compare the outputs:
 
-    PYTHONPATH=old/src python3 tools/fingerprint.py > old.txt
-    PYTHONPATH=new/src python3 tools/fingerprint.py > new.txt
+    PYTHONPATH=old/src python3 old/tools/fingerprint.py > old.txt
+    PYTHONPATH=new/src python3 new/tools/fingerprint.py > new.txt
     cmp old.txt new.txt
 
-It takes about 3.4 s and 0.95 GiB (ru_maxrss) on a 2-core x86_64 VM (AMD
-EPYC, numpy 2.4.6 with OpenBLAS 0.3.31); the ipt-t 512x512 tape line sets
-the peak (without the two tape lines: 2.0 s and 0.51 GiB).
+Measured on 2026-10-21, it took 10.5-12.1 s and 966 MiB (ru_maxrss) on a
+2-core x86_64 VM (Intel Xeon, numpy 2.4.6 with OpenBLAS 0.3.31), where an
+earlier host read 3.4 s; the ipt-t 512x512 tape line sets the peak (without
+the two tape lines: 6.5-7.8 s and 521 MiB).
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ import numpy as np
 from incepformer import TrainConfig, build_model, ipt_t, make_synth_dataset, micro, train
 from incepformer.analysis import count_params, emit_report, estimate_flops
 from incepformer.config import PRESETS
+from incepformer.gradcheck import config_loss
 from incepformer.metrics import label_map
-from incepformer.model import freeze_batchnorm_stats
 from incepformer.tensor import GradTape, Tensor, backward
 from incepformer.train import cross_entropy
 
@@ -86,24 +89,28 @@ def eval_logits(cfg, dtype: str, size: int) -> np.ndarray:
     return model(Tensor(image[None], dtype=dtype)).data
 
 
-def tape_fingerprint(cfg, dtype: str, size: int, batch: int, freeze_bn: bool) -> str:
-    """Recorded ops and the SHA-256 of the parameter gradients of one
-    `cross_entropy` loss, built as `gradcheck.check_config_gradients` builds it."""
-    model = build_model(cfg, seed=0, dtype=dtype)
-    model.train()
-    if freeze_bn:
-        freeze_batchnorm_stats(model)
-    rng = np.random.default_rng(np.random.SeedSequence([0, 42]))
-    image = Tensor(rng.uniform(0.0, 1.0, (batch, 3, size, size)), dtype=dtype)
-    labels = rng.integers(0, cfg.num_classes, (batch, size, size))
+def tape_fingerprint(model, loss_fn) -> str:
+    """Recorded ops and the SHA-256 of the parameter gradients of `loss_fn()`."""
     with GradTape() as tape:
-        loss = cross_entropy(model(image), labels)
+        loss = loss_fn()
     ops = len(tape)  # backward consumes the tape
     backward(loss, tape)
     digest = hashlib.sha256()
     for _, t in model.parameter_store().items():
         digest.update(t.grad.tobytes())
     return f"{ops} ops {digest.hexdigest()}"
+
+
+def ipt_t_512_loss():
+    """`config_loss` of ipt-t at 512x512 but in f32, at batch 1 and with
+    BatchNorm statistics updating."""
+    cfg = ipt_t()
+    model = build_model(cfg, seed=0, dtype="f32")
+    model.train()
+    rng = np.random.default_rng(np.random.SeedSequence([0, 42]))
+    image = Tensor(rng.uniform(0.0, 1.0, (1, 3, 512, 512)), dtype="f32")
+    labels = rng.integers(0, cfg.num_classes, (1, 512, 512))
+    return model, lambda: cross_entropy(model(image), labels)
 
 
 def analyze_fingerprint() -> str:
@@ -127,8 +134,8 @@ def main():
     print(f"eval ipt-t 512x512 labels: {sha256_array(labels)}", flush=True)
     print(f"eval micro-f64 64x64 logits: {sha256_array(eval_logits(micro(), 'f64', 64))}", flush=True)
     print(f"analyze {len(ANALYZE_CONFIGS)} configs: {analyze_fingerprint()}", flush=True)
-    print(f"tape micro-f64 32x32 b2 grads: {tape_fingerprint(micro(), 'f64', 32, 2, True)}", flush=True)
-    print(f"tape ipt-t-f32 512x512 b1 grads: {tape_fingerprint(ipt_t(), 'f32', 512, 1, False)}", flush=True)
+    print(f"tape micro-f64 32x32 b2 grads: {tape_fingerprint(*config_loss(micro(), 0, 32, 32))}", flush=True)
+    print(f"tape ipt-t-f32 512x512 b1 grads: {tape_fingerprint(*ipt_t_512_loss())}", flush=True)
 
 
 if __name__ == "__main__":
