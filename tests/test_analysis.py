@@ -161,6 +161,18 @@ def total_params_at_width(cfg, channels: int) -> int:
 
 
 class TestDecoderFacts:
+    @pytest.mark.parametrize("mk", [ipt_t, ipt_s, ipt_b])
+    def test_decoder_under_one_million(self, mk):
+        rows = count_params(mk(num_classes=150)).rows
+        assert sum(r.params for r in rows if r.layer.startswith("decoder/")) < 1_000_000
+
+    def test_delta_512_to_768_analytic(self):
+        cfg = ipt_s(num_classes=150)
+        delta = total_params_at_width(cfg, 768) - total_params_at_width(cfg, 512)
+        assert delta == (1024 + 1) * 256 + 256 * 150 == 300800
+        # magnitude consistent with the reference 24.4M -> 24.6M step
+        assert abs(delta - 0.2e6) <= 0.15e6
+
     def test_deltas_strictly_increasing_in_c(self):
         channels = [256, 512, 768, 1024, 2048]
         totals = [total_params_at_width(ipt_s(), c) for c in channels]
